@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -275,7 +276,8 @@ usage(const char *argv0)
                  "                   run nothing; exit 2 on the first\n"
                  "                   config error\n"
                  "  --seed N         simulation seed (default 42)\n"
-                 "  --out DIR        directory for BENCH_<name>.json\n"
+                 "  --out DIR        existing directory for\n"
+                 "                   BENCH_<name>.json (default .)\n"
                  "  --jobs N         worker threads (default 1); the\n"
                  "                   result document is identical for\n"
                  "                   any N under the same seed\n"
@@ -454,13 +456,12 @@ runScenarios(const Options &opt)
     return 0;
 }
 
+} // namespace
+
 int
-parseAndRun(int argc, char **argv,
-            const std::string &forcedScenario)
+harnessMain(int argc, char **argv)
 {
     Options opt;
-    if (!forcedScenario.empty())
-        opt.names.push_back(forcedScenario);
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--list") {
@@ -468,16 +469,19 @@ parseAndRun(int argc, char **argv,
         } else if (arg == "--smoke") {
             opt.smoke = true;
         } else if (arg == "--scenario" && i + 1 < argc) {
-            // Wrapper binaries pin their figure; extra --scenario
-            // flags widen the run only for the tf_bench driver.
-            if (forcedScenario.empty())
-                opt.names.push_back(argv[++i]);
-            else
-                ++i;
+            opt.names.push_back(argv[++i]);
         } else if (arg == "--seed" && i + 1 < argc) {
             opt.seed = std::strtoull(argv[++i], nullptr, 0);
         } else if (arg == "--out" && i + 1 < argc) {
             opt.outDir = argv[++i];
+            // Refuse up front: a missing directory would otherwise
+            // only surface after the first scenario has run.
+            if (!std::filesystem::is_directory(opt.outDir)) {
+                std::fprintf(stderr,
+                             "tf_bench: --out %s: no such directory\n",
+                             opt.outDir.c_str());
+                return 2;
+            }
         } else if (arg == "--jobs" && i + 1 < argc) {
             opt.jobs = static_cast<unsigned>(
                 std::strtoul(argv[++i], nullptr, 0));
@@ -512,20 +516,6 @@ parseAndRun(int argc, char **argv,
         return 0;
     }
     return runScenarios(opt);
-}
-
-} // namespace
-
-int
-harnessMain(int argc, char **argv)
-{
-    return parseAndRun(argc, argv, "");
-}
-
-int
-scenarioMain(const std::string &name, int argc, char **argv)
-{
-    return parseAndRun(argc, argv, name);
 }
 
 } // namespace tf::bench

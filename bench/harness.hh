@@ -250,9 +250,6 @@ const std::vector<Scenario> &scenarios();
  */
 int harnessMain(int argc, char **argv);
 
-/** Entry point for the single-figure wrapper binaries. */
-int scenarioMain(const std::string &name, int argc, char **argv);
-
 } // namespace tf::bench
 
 #endif // TF_BENCH_HARNESS_HH

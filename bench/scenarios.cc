@@ -420,8 +420,9 @@ runFig07Ycsb(ScenarioContext &ctx)
                 std::to_string(pt.partitions) + "p." +
                 sys::setupName(pt.setup);
             // Scale-out points run client/server traffic over the
-            // Ethernet model, so collecting here puts Stage::Eth
-            // spans into the Perfetto export alongside the datapath.
+            // testbed's Ethernet fabric, so collecting here puts
+            // Stage::SwitchHop spans into the Perfetto export
+            // alongside the datapath.
             if (sub.traceEnabled()) {
                 bed.eq->trace().setFull(true);
                 bed.eq->trace().setIdTag(

@@ -25,7 +25,8 @@ FabricLink::send(std::uint64_t bytes, sim::Tick extraDelay,
                  sim::EventQueue::Callback delivered)
 {
     sim::Tick ser = sim::seconds(static_cast<double>(bytes) /
-                                 _params.bandwidthBps);
+                                 _params.bandwidthBps) +
+                    _params.perMessageOverhead;
     sim::Tick ready = now() + extraDelay;
     sim::Tick start = std::max(ready, _nextFree);
     _nextFree = start + ser;

@@ -1,27 +1,32 @@
 /**
  * @file
- * Switched multi-hop fabric model.
+ * Switched multi-hop fabric model: the one link model for message
+ * traffic.
  *
- * net::Network models point-to-point Ethernet links; rack-scale
- * topologies (ring / chain / full-mesh, DRackSim- and Xerxes-style)
- * need switches: elements with a configurable radix, a fixed crossing
- * latency, and per-egress-port output queues whose serialisation rate
- * is the attached link's — which is where oversubscription lives. A
- * Fabric is a set of named endpoints and switches joined by
- * full-duplex links; messages are routed hop by hop along shortest
- * paths (deterministic lexicographic tie-break), each hop charging
+ * The paper's testbed wires the client to the servers over 10 Gb/s
+ * Ethernet and the two servers to each other over 100 Gb/s Ethernet
+ * (Section VI-A); rack-scale topologies (ring / chain / full-mesh,
+ * DRackSim- and Xerxes-style) add switches: elements with a
+ * configurable radix, a fixed crossing latency, and per-egress-port
+ * output queues whose serialisation rate is the attached link's —
+ * which is where oversubscription lives. A Fabric is a set of named
+ * endpoints and switches joined by full-duplex links; a switchless
+ * Fabric is a set of point-to-point links. Messages are routed hop by
+ * hop along shortest paths (deterministic lexicographic tie-break),
+ * each hop charging
  *
- *     crossing (switches only) + egress queue + serialisation + wire
+ *     crossing (switches only) + egress queue + serialisation
+ *     (incl. per-message overhead) + wire
  *
  * and recording a Stage::SwitchHop trace span on the hop's source
  * element, so Perfetto shows exactly which oversubscribed queue a
  * noisy neighbour is parked in.
  *
- * Partitioned runs follow the net::Network idiom: every directed link
- * is a SimObject on its *source* element's queue, assign() homes
- * elements onto LPs before connect(), and partition() reroutes
- * cross-LP links through engine channels with the link's fixed wire
- * latency as lookahead.
+ * Partitioned runs: every directed link is a SimObject on its *source*
+ * element's queue (its serialisation clock belongs to the sender's
+ * partition), assign() homes elements onto LPs before connect(), and
+ * partition() reroutes cross-LP links through engine channels with the
+ * link's fixed wire latency as lookahead.
  */
 
 #ifndef TF_NET_SWITCH_HH
@@ -55,6 +60,28 @@ struct FabricLinkParams
     double bandwidthBps = 100e9 / 8;
     /** Fixed one-way wire latency; the PDES lookahead floor (> 0). */
     sim::Tick latency = sim::nanoseconds(500);
+    /** Per-message NIC/stack overhead, charged with serialisation. */
+    sim::Tick perMessageOverhead = 0;
+
+    /**
+     * The testbed's client Ethernet: the latency is NIC + switch +
+     * kernel stack. The paper's Memcached local round trip is ~600 us
+     * dominated by software; this is the network-stack share.
+     */
+    static FabricLinkParams
+    tenGig()
+    {
+        return FabricLinkParams{10e9 / 8, sim::microseconds(25),
+                                sim::microseconds(2)};
+    }
+
+    /** The scale-out server-to-server Ethernet. */
+    static FabricLinkParams
+    hundredGig()
+    {
+        return FabricLinkParams{100e9 / 8, sim::microseconds(15),
+                                sim::microseconds(1)};
+    }
 };
 
 /**
@@ -77,7 +104,13 @@ class FabricLink : public sim::SimObject
     void send(std::uint64_t bytes, sim::Tick extraDelay,
               sim::EventQueue::Callback delivered);
 
-    /** Route deliveries through a cross-LP channel (see EthLink). */
+    /**
+     * Route deliveries through a cross-LP channel instead of the
+     * local queue. Serialisation stays on the sender's clock; the
+     * delivery callback runs on the channel's destination LP. The
+     * channel's lookahead must not exceed the wire latency (the
+     * conservative floor of every delivery). nullptr unbinds.
+     */
     void bindChannel(sim::par::LinkChannel *channel);
 
     const FabricLinkParams &params() const { return _params; }

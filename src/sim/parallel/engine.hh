@@ -30,7 +30,7 @@
  *
  * Threading contract for components: everything built on an LP's
  * queue belongs to that LP; cross-partition interaction must go
- * through a LinkChannel (net::Network and ocapi::CrossingStage can
+ * through a LinkChannel (net::Fabric and ocapi::CrossingStage can
  * route through one — see their bindChannel/assign APIs).
  */
 

@@ -47,7 +47,6 @@ enum class Stage : std::uint8_t {
     LlcResp,        ///< LLC framing + wire + replay, response direction
     StackUp,        ///< host FPGA stack, response direction
     HostSerdesUp,   ///< host serDES, response direction
-    Eth,            ///< Ethernet message (client / inter-rack traffic)
     CacheHit,       ///< page-cache access served from a local frame
     CacheMiss,      ///< page-cache access waiting on a remote fill
     CacheWb,        ///< page-cache dirty write-back to the donor
@@ -77,7 +76,6 @@ stageName(Stage s)
       case Stage::LlcResp:         return "llcResp";
       case Stage::StackUp:         return "stackUp";
       case Stage::HostSerdesUp:    return "hostSerdesUp";
-      case Stage::Eth:             return "eth";
       case Stage::CacheHit:        return "cacheHit";
       case Stage::CacheMiss:       return "cacheMiss";
       case Stage::CacheWb:         return "cacheWb";

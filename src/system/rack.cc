@@ -52,19 +52,21 @@ RackCluster::RackCluster(const std::string &name,
 
     // Ethernet ring: every endpoint homed on its rack's LP *before*
     // the links exist, then cross-LP links rerouted through engine
-    // channels — the ring latency becomes the engine's lookahead.
-    _net = std::make_unique<net::Network>(_name + ".net",
-                                          _racks[0]->lp->queue());
-    for (auto &rack : _racks)
+    // channels — the ring latency becomes the engine's lookahead. With
+    // two racks the closing link 1->0 is the link 0->1, so the ring
+    // has one link; one rack has none.
+    _net = std::make_unique<net::Fabric>(_name + ".net",
+                                         _racks[0]->lp->queue());
+    for (auto &rack : _racks) {
+        _net->addEndpoint(rack->endpoint);
         _net->assign(rack->endpoint, *rack->lp);
-    for (std::size_t i = 0; i < _racks.size(); ++i) {
-        std::size_t j = (i + 1) % _racks.size();
-        if (i == j ||
-            _net->connected(_racks[i]->endpoint, _racks[j]->endpoint))
-            continue;
-        _net->connect(_racks[i]->endpoint, _racks[j]->endpoint,
-                      _params.interRack);
     }
+    std::size_t n = _racks.size();
+    std::size_t links = n > 2 ? n : n - 1;
+    for (std::size_t i = 0; i < links; ++i)
+        _net->connect(_racks[i]->endpoint, _racks[(i + 1) % n]->endpoint,
+                      _params.interRack);
+    _net->finalize();
     _net->partition(engine);
 
     for (std::size_t i = 0; i < shards.size(); ++i) {

@@ -29,7 +29,7 @@
 #include "dc/trace.hh"
 #include "mem/backing_store.hh"
 #include "mem/dram.hh"
-#include "net/ethernet.hh"
+#include "net/switch.hh"
 #include "sim/parallel/engine.hh"
 #include "tflow/datapath.hh"
 
@@ -47,7 +47,7 @@ struct RackParams
     std::uint64_t rpcRequestBytes = 512;
     std::uint64_t rpcResponseBytes = 4096;
     /** Inter-rack ring links (their latency is the lookahead). */
-    net::EthParams interRack = net::EthParams::hundredGig();
+    net::FabricLinkParams interRack = net::FabricLinkParams::hundredGig();
     flow::FlowParams flow;
     mem::DramParams dram;
 };
@@ -74,7 +74,7 @@ class RackCluster
     /** Cross-rack RPC round trips completed, summed over all racks. */
     std::uint64_t crossRackOps() const;
 
-    net::Network &network() { return *_net; }
+    net::Fabric &network() { return *_net; }
 
     /**
      * Register per-rack counters and RPC latency under
@@ -112,7 +112,7 @@ class RackCluster
     std::string _name;
     RackParams _params;
     std::vector<std::unique_ptr<Rack>> _racks;
-    std::unique_ptr<net::Network> _net;
+    std::unique_ptr<net::Fabric> _net;
 };
 
 } // namespace tf::sys

@@ -39,10 +39,13 @@ Testbed::Testbed(sim::EventQueue &eq, TestbedParams params)
     _cpuB = std::make_unique<CpuSet>("cpuB", eq,
                                      _params.node.hwThreads);
 
-    _network.connect("client", "serverA", net::EthParams::tenGig());
-    _network.connect("client", "serverB", net::EthParams::tenGig());
+    for (const char *endpoint : {"client", "serverA", "serverB"})
+        _network.addEndpoint(endpoint);
+    _network.connect("client", "serverA", net::FabricLinkParams::tenGig());
+    _network.connect("client", "serverB", net::FabricLinkParams::tenGig());
     _network.connect("serverA", "serverB",
-                     net::EthParams::hundredGig());
+                     net::FabricLinkParams::hundredGig());
+    _network.finalize();
 
     switch (_params.setup) {
       case Setup::Local:

@@ -25,7 +25,7 @@
 #include <memory>
 
 #include "ctrl/control_plane.hh"
-#include "net/ethernet.hh"
+#include "net/switch.hh"
 #include "system/cpuset.hh"
 #include "system/node.hh"
 
@@ -70,7 +70,7 @@ class Testbed
     Node &client() { return *_client; }
     CpuSet &cpuA() { return *_cpuA; }
     CpuSet &cpuB() { return *_cpuB; }
-    net::Network &network() { return _network; }
+    net::Fabric &network() { return _network; }
     ctrl::ControlPlane &controlPlane() { return *_cp; }
     flow::Datapath *datapath() { return _datapath.get(); }
     os::PageCache *pageCache() { return _pageCache.get(); }
@@ -123,7 +123,7 @@ class Testbed
     std::unique_ptr<Node> _client;
     std::unique_ptr<CpuSet> _cpuA;
     std::unique_ptr<CpuSet> _cpuB;
-    net::Network _network;
+    net::Fabric _network;
     std::unique_ptr<flow::Datapath> _datapath;
     std::unique_ptr<os::PageCache> _pageCache;
     std::unique_ptr<ctrl::ControlPlane> _cp;

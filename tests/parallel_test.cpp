@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "mem/transaction.hh"
-#include "net/ethernet.hh"
+#include "net/switch.hh"
 #include "opencapi/crossing.hh"
 #include "sim/parallel/engine.hh"
 #include "sim/rng.hh"
@@ -287,7 +287,7 @@ TEST(ParallelNet, PartitionedLinkDeliversAtSerialTick)
 {
     // 1000 B at 1 GB/s = 1 us serialisation, +1 us overhead, +10 us
     // latency: delivery on the remote LP at exactly 12 us.
-    net::EthParams params;
+    net::FabricLinkParams params;
     params.bandwidthBps = 1e9;
     params.latency = sim::microseconds(10);
     params.perMessageOverhead = sim::microseconds(1);
@@ -296,10 +296,13 @@ TEST(ParallelNet, PartitionedLinkDeliversAtSerialTick)
     LogicalProcess &a = engine.addLp("a");
     LogicalProcess &b = engine.addLp("b");
 
-    net::Network net("net", a.queue());
+    net::Fabric net("net", a.queue());
+    net.addEndpoint("a");
+    net.addEndpoint("b");
     net.assign("a", a);
     net.assign("b", b);
     net.connect("a", "b", params);
+    net.finalize();
     net.partition(engine);
     ASSERT_EQ(engine.channelCount(), 2u);
     EXPECT_EQ(engine.lookahead(), params.latency);
@@ -341,28 +344,35 @@ TEST(RackCluster, DeterministicAcrossWorkerCounts)
     tparams.meanInterarrival = sim::microseconds(200);
     auto trace = dc::TraceGenerator(tparams, 7).generate();
 
-    auto runOnce = [&trace](unsigned jobs) {
-        sys::RackParams rparams;
-        rparams.racks = 3;
-        auto shards = dc::shardTrace(trace, rparams.racks);
-        ParallelEngine engine(jobs);
-        sys::RackCluster cluster("cluster", engine, shards, rparams,
-                                 99);
-        engine.run();
-        sim::StatsRegistry reg;
-        cluster.registerStats(reg, "sys");
-        engine.attachStats(reg, "sim.par");
-        reg.freezeAll();
-        return std::make_tuple(cluster.opsCompleted(),
-                               cluster.crossRackOps(),
-                               reg.toJson());
-    };
+    // Two racks is the duplicate-edge case: the ring's closing link
+    // is the one already built, so the ring has a single link.
+    for (std::size_t racks : {2, 3}) {
+        SCOPED_TRACE(racks);
+        auto runOnce = [&trace, racks](unsigned jobs) {
+            sys::RackParams rparams;
+            rparams.racks = racks;
+            auto shards = dc::shardTrace(trace, rparams.racks);
+            ParallelEngine engine(jobs);
+            sys::RackCluster cluster("cluster", engine, shards, rparams,
+                                     99);
+            engine.run();
+            sim::StatsRegistry reg;
+            cluster.registerStats(reg, "sys");
+            engine.attachStats(reg, "sim.par");
+            reg.freezeAll();
+            return std::make_tuple(cluster.opsCompleted(),
+                                   cluster.crossRackOps(),
+                                   reg.toJson(), engine.channelCount());
+        };
 
-    auto serial = runOnce(1);
-    auto parallel = runOnce(2);
-    EXPECT_GT(std::get<0>(serial), 0u);
-    EXPECT_GT(std::get<1>(serial), 0u);
-    EXPECT_EQ(std::get<0>(serial), std::get<0>(parallel));
-    EXPECT_EQ(std::get<1>(serial), std::get<1>(parallel));
-    EXPECT_EQ(std::get<2>(serial), std::get<2>(parallel));
+        auto serial = runOnce(1);
+        auto parallel = runOnce(2);
+        EXPECT_GT(std::get<0>(serial), 0u);
+        EXPECT_GT(std::get<1>(serial), 0u);
+        EXPECT_EQ(std::get<0>(serial), std::get<0>(parallel));
+        EXPECT_EQ(std::get<1>(serial), std::get<1>(parallel));
+        EXPECT_EQ(std::get<2>(serial), std::get<2>(parallel));
+        // One channel per direction of every ring link.
+        EXPECT_EQ(std::get<3>(serial), racks == 2 ? 2u : 2 * racks);
+    }
 }

@@ -219,7 +219,7 @@ TEST(TestbedT, AllSetupsConstruct)
         tp.donatedBytes = 64ULL * 1024 * 1024;
         Testbed tb(eq, tp);
         EXPECT_STREQ(setupName(tb.setup()), setupName(setup));
-        EXPECT_TRUE(tb.network().connected("client", "serverA"));
-        EXPECT_TRUE(tb.network().connected("serverA", "serverB"));
+        EXPECT_EQ(tb.network().hopCount("client", "serverA"), 1u);
+        EXPECT_EQ(tb.network().hopCount("serverA", "serverB"), 1u);
     }
 }
