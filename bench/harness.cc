@@ -1,7 +1,12 @@
 #include "harness.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -456,6 +461,56 @@ runScenarios(const Options &opt)
     return 0;
 }
 
+/**
+ * Parse the whole of @p text as an unsigned integer no larger than
+ * @p max (decimal, 0x-hex or 0-octal, as strtoull). Empty input, a
+ * sign, trailing characters and out-of-range values print a diagnostic
+ * naming @p flag and return false.
+ */
+bool
+parseUnsigned(const char *flag, const char *text, std::uint64_t max,
+              std::uint64_t &out)
+{
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(text, &end, 0);
+    if (std::isdigit(static_cast<unsigned char>(text[0])) &&
+        *end == '\0' && errno != ERANGE && v <= max) {
+        out = v;
+        return true;
+    }
+    std::fprintf(stderr,
+                 "tf_bench: %s '%s': expected an integer in [0, %llu]\n",
+                 flag, text, static_cast<unsigned long long>(max));
+    return false;
+}
+
+/**
+ * As parseUnsigned() for a finite, strictly positive decimal number
+ * (no sign, no unit suffix).
+ */
+bool
+parsePositive(const char *flag, const char *text, double &out)
+{
+    errno = 0;
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    bool digitFirst = std::isdigit(static_cast<unsigned char>(text[0])) ||
+                      text[0] == '.';
+    if (digitFirst && *end == '\0' && errno != ERANGE && std::isfinite(v) &&
+        v > 0) {
+        out = v;
+        return true;
+    }
+    std::fprintf(stderr,
+                 "tf_bench: %s '%s': expected a positive number\n", flag,
+                 text);
+    return false;
+}
+
+/** Upper bound for --jobs (worker threads). */
+constexpr std::uint64_t maxJobs = 1024;
+
 } // namespace
 
 int
@@ -471,7 +526,8 @@ harnessMain(int argc, char **argv)
         } else if (arg == "--scenario" && i + 1 < argc) {
             opt.names.push_back(argv[++i]);
         } else if (arg == "--seed" && i + 1 < argc) {
-            opt.seed = std::strtoull(argv[++i], nullptr, 0);
+            if (!parseUnsigned("--seed", argv[++i], UINT64_MAX, opt.seed))
+                return 2;
         } else if (arg == "--out" && i + 1 < argc) {
             opt.outDir = argv[++i];
             // Refuse up front: a missing directory would otherwise
@@ -483,10 +539,10 @@ harnessMain(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--jobs" && i + 1 < argc) {
-            opt.jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-            if (opt.jobs == 0)
-                opt.jobs = 1;
+            std::uint64_t jobs = 0;
+            if (!parseUnsigned("--jobs", argv[++i], maxJobs, jobs))
+                return 2;
+            opt.jobs = std::max<unsigned>(1, static_cast<unsigned>(jobs));
         } else if (arg == "--topo" && i + 1 < argc) {
             opt.topoFiles.push_back(argv[++i]);
         } else if (arg == "--validate") {
@@ -496,9 +552,9 @@ harnessMain(int argc, char **argv)
         } else if (arg == "--trace" && i + 1 < argc) {
             opt.traceFile = argv[++i];
         } else if (arg == "--timeline-window" && i + 1 < argc) {
-            opt.timelineUs = std::strtod(argv[++i], nullptr);
-            if (!(opt.timelineUs > 0))
-                return usage(argv[0]);
+            if (!parsePositive("--timeline-window", argv[++i],
+                               opt.timelineUs))
+                return 2;
         } else if (arg == "--cut-through" && i + 1 < argc) {
             std::string v = argv[++i];
             if (v == "on")

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/logging.hh"
+
 namespace tf::apps {
 
 // ------------------------------------------------------------ server
@@ -204,8 +206,6 @@ MemcachedBenchmark::warmup()
     // keys last so they start resident.
     std::uint64_t fills = _params.cacheItems + _params.cacheItems / 4;
     auto remaining = std::make_shared<std::uint64_t>(fills);
-    std::function<void(std::uint64_t)> next =
-        [&](std::uint64_t i) { (void)i; };
     for (std::uint64_t i = 0; i < fills; ++i) {
         std::uint64_t key = _zipf(_rng);
         MemcachedServer *server = _serverA.get();
@@ -219,6 +219,9 @@ MemcachedBenchmark::warmup()
             eq.run();
     }
     eq.run();
+    TF_ASSERT(*remaining == 0, "%llu of %llu warm-up SETs never completed",
+              static_cast<unsigned long long>(*remaining),
+              static_cast<unsigned long long>(fills));
 }
 
 void

@@ -1,21 +1,9 @@
 #include "mem/backing_store.hh"
 
+#include <algorithm>
 #include <cstring>
 
 namespace tf::mem {
-
-BackingStore::Page &
-BackingStore::pageFor(Addr addr) const
-{
-    std::uint64_t idx = pageIndex(addr);
-    auto it = _pages.find(idx);
-    if (it == _pages.end()) {
-        auto page = std::make_unique<Page>();
-        page->fill(0);
-        it = _pages.emplace(idx, std::move(page)).first;
-    }
-    return *it->second;
-}
 
 void
 BackingStore::read(Addr addr, void *dst, std::uint64_t len) const
@@ -24,8 +12,11 @@ BackingStore::read(Addr addr, void *dst, std::uint64_t len) const
     while (len > 0) {
         std::uint64_t off = addr % pageBytes;
         std::uint64_t chunk = std::min(len, pageBytes - off);
-        const Page &page = pageFor(addr);
-        std::memcpy(out, page.data() + off, chunk);
+        auto it = _pages.find(pageIndex(addr));
+        if (it == _pages.end())
+            std::memset(out, 0, chunk);
+        else
+            std::memcpy(out, it->second->data() + off, chunk);
         addr += chunk;
         out += chunk;
         len -= chunk;
@@ -39,8 +30,15 @@ BackingStore::write(Addr addr, const void *src, std::uint64_t len)
     while (len > 0) {
         std::uint64_t off = addr % pageBytes;
         std::uint64_t chunk = std::min(len, pageBytes - off);
-        Page &page = pageFor(addr);
-        std::memcpy(page.data() + off, in, chunk);
+        std::uint64_t idx = pageIndex(addr);
+        auto it = _pages.find(idx);
+        if (it == _pages.end() &&
+            std::any_of(in, in + chunk, [](std::uint8_t b) { return b; })) {
+            // make_unique value-initialises: the page starts zeroed.
+            it = _pages.emplace(idx, std::make_unique<Page>()).first;
+        }
+        if (it != _pages.end())
+            std::memcpy(it->second->data() + off, in, chunk);
         addr += chunk;
         in += chunk;
         len -= chunk;

@@ -21,7 +21,6 @@ Cache::Cache(CacheParams params) : _params(params)
     TF_ASSERT(lines >= _params.ways, "cache smaller than one set");
     _sets = static_cast<std::uint32_t>(lines / _params.ways);
     TF_ASSERT(isPow2(_sets), "set count must be a power of two");
-    _lines.resize(static_cast<std::size_t>(_sets) * _params.ways);
 }
 
 Cache::Line *
@@ -35,6 +34,9 @@ Cache::setBase(Addr addr)
 CacheResult
 Cache::access(Addr addr, bool write)
 {
+    // Tags are allocated on first use: idle nodes' caches cost nothing.
+    if (_lines.empty())
+        _lines.resize(static_cast<std::size_t>(_sets) * _params.ways);
     ++_tick;
     Addr tag = addr / _params.lineBytes;
     Line *set = setBase(addr);

@@ -70,7 +70,7 @@ class Cache
 
     CacheParams _params;
     std::uint32_t _sets;
-    std::vector<Line> _lines; // sets x ways, row-major
+    std::vector<Line> _lines; // sets x ways, row-major; sized lazily
     std::uint64_t _tick = 0;  // LRU clock
     sim::Counter _hits;
     sim::Counter _misses;

@@ -91,6 +91,50 @@ TEST(BackingStore, CrossPageAccess)
     EXPECT_EQ(store.touchedPages(), 2u);
 }
 
+TEST(BackingStore, ReadOfUntouchedPageAllocatesNothing)
+{
+    BackingStore store;
+    std::vector<std::uint8_t> out(256, 0xff);
+    store.read(3 * pageBytes - 100, out.data(), out.size());
+    EXPECT_EQ(out, std::vector<std::uint8_t>(256, 0));
+    EXPECT_EQ(store.touchedPages(), 0u);
+}
+
+TEST(BackingStore, ZeroWriteToUntouchedPageIsDropped)
+{
+    BackingStore store;
+    std::vector<std::uint8_t> zeros(cachelineBytes, 0);
+    store.write(0x4000, zeros.data(), zeros.size());
+    store.write64(5 * pageBytes, 0);
+    EXPECT_EQ(store.touchedPages(), 0u);
+    EXPECT_EQ(store.read64(0x4000), 0u);
+}
+
+TEST(BackingStore, ZeroWriteOverwritesExistingData)
+{
+    BackingStore store;
+    store.write64(0x1000, 0xdeadbeefcafef00dULL);
+    store.write64(0x1000, 0);
+    EXPECT_EQ(store.read64(0x1000), 0u);
+    EXPECT_EQ(store.touchedPages(), 1u);
+}
+
+TEST(BackingStore, StraddlingWriteCreatesOnlyNonzeroPage)
+{
+    // 100 bytes land at the end of page 0, 156 at the start of page 1;
+    // only the page-1 chunk carries a nonzero byte.
+    BackingStore store;
+    std::vector<std::uint8_t> in(256, 0), out(256, 0xff);
+    in[200] = 0x5a;
+    Addr addr = pageBytes - 100;
+    store.write(addr, in.data(), in.size());
+    EXPECT_EQ(store.touchedPages(), 1u);
+    store.read(addr, out.data(), out.size());
+    EXPECT_EQ(in, out);
+    EXPECT_EQ(store.read64(0), 0u); // page 0 still absent
+    EXPECT_EQ(store.touchedPages(), 1u);
+}
+
 namespace {
 
 struct DramFixture : ::testing::Test
@@ -348,4 +392,35 @@ TEST(CacheModel, HotSetStaysResident)
     EXPECT_EQ(cache.hits(), 3u * 2048u);
     cache.flush();
     EXPECT_FALSE(cache.access(0, false).hit);
+}
+
+TEST(CacheModel, FlushBeforeFirstAccessMatchesFlushAfterUse)
+{
+    // A fresh cache flushed before any access must behave exactly
+    // like a used cache after flush(): same hit/miss/write-back trace.
+    Cache fresh({2048, 2, 128});
+    fresh.flush();
+    Cache used({2048, 2, 128});
+    for (Addr a = 0; a < 64 * 128; a += 128)
+        used.access(a, true);
+    used.flush();
+    const std::uint64_t before[3] = {used.hits(), used.misses(),
+                                     used.writebacks()};
+
+    const std::pair<Addr, bool> seq[] = {
+        {0, true},        {8 * 128, false}, {0, false},
+        {16 * 128, true}, {8 * 128, false}, {24 * 128, false},
+        {16 * 128, false}};
+    for (auto [addr, write] : seq) {
+        CacheResult a = fresh.access(addr, write);
+        CacheResult b = used.access(addr, write);
+        EXPECT_EQ(a.hit, b.hit) << addr;
+        EXPECT_EQ(a.writeback, b.writeback) << addr;
+        EXPECT_EQ(a.victimAddr, b.victimAddr) << addr;
+    }
+    EXPECT_EQ(fresh.hits(), used.hits() - before[0]);
+    EXPECT_EQ(fresh.misses(), used.misses() - before[1]);
+    EXPECT_EQ(fresh.writebacks(), used.writebacks() - before[2]);
+    EXPECT_GT(fresh.writebacks(), 0u);
+    EXPECT_GT(fresh.hits(), 0u);
 }

@@ -1,11 +1,14 @@
 /**
  * @file
  * Tests for the system layer: node host-bus routing, CPU occupancy
- * model, memory path bursts, and the five testbed configurations.
+ * model, memory path bursts, the five testbed configurations, and the
+ * host-memory footprint of timing-only app models.
  */
 
 #include <gtest/gtest.h>
 
+#include "apps/memcached.hh"
+#include "apps/stream.hh"
 #include "system/memory_path.hh"
 #include "system/testbed.hh"
 
@@ -222,4 +225,36 @@ TEST(TestbedT, AllSetupsConstruct)
         EXPECT_EQ(tb.network().hopCount("client", "serverA"), 1u);
         EXPECT_EQ(tb.network().hopCount("serverA", "serverB"), 1u);
     }
+}
+
+TEST(TestbedT, TimingOnlyAppsAllocateNoBackingPages)
+{
+    // App models move no data, so donor DRAM reads and writes must
+    // never make the sparse backing store allocate a page.
+    sim::EventQueue eq;
+    TestbedParams tp;
+    tp.setup = Setup::BondingDisaggregated;
+    tp.donatedBytes = 64ULL * 1024 * 1024;
+    tp.node.cache = mem::CacheParams{2 * 1024 * 1024, 8, 128};
+    Testbed tb(eq, tp);
+
+    apps::MemcachedParams mp;
+    mp.cacheItems = 2000;
+    mp.keySpaceItems = 3000;
+    mp.bufferRegionBytes = 4ULL * 1024 * 1024;
+    mp.clientThreads = 4;
+    mp.requestsPerThread = 50;
+    apps::MemcachedResult mr = apps::MemcachedBenchmark(tb, mp).run();
+    EXPECT_GT(mr.getLatencyUs.count(), 0u);
+
+    apps::StreamParams sp;
+    sp.elements = 64 * 1024;
+    sp.threads = 4;
+    sp.iterations = 1;
+    apps::StreamBenchmark(tb, sp).run(apps::StreamKernel::Triad);
+
+    EXPECT_GT(tb.serverB().dram().reads(), 0u);
+    EXPECT_GT(tb.serverB().dram().writes(), 0u);
+    for (Node *n : {&tb.serverA(), &tb.serverB(), &tb.client()})
+        EXPECT_EQ(n->store().touchedPages(), 0u) << n->name();
 }
