@@ -50,10 +50,15 @@ import sys
 # trace.attr.<stage>.{p50,p95,p99}Ns attribution metric) are the ones
 # the p99 gates ride on: an unhinted latency metric silently gated in
 # the higher-is-better direction would wave regressions through.
+# fig01's fragmentation is capacity stranded in powered-on units and
+# its "Off" shares are units that can power down; fig06's utilised
+# cores (ucc) is CPU burnt for the same work, its ipc the work done
+# per cycle.
 LOWER_IS_BETTER_HINTS = (
     "Us", "Ns", "latency", "replay", "stall", "drop", "teardown",
     "HighWater", "Compactions", "Cancelled", "recovery", "error",
     "timedOut", "violations", "worstValue", "occupancy",
+    "Fragmentation", "ucc",
 )
 
 HIGHER_IS_BETTER_HINTS = (
@@ -61,6 +66,7 @@ HIGHER_IS_BETTER_HINTS = (
     "windows", "eventsPerSec", "eventsTotal", "fills", "evictions",
     "writebacks", "Pages", "Alive", "faultsFired", "VsLocal",
     "count", "copy", "Msgs", "speedup", "jobsParallel",
+    "Off", "placed", "ipc",
 )
 
 

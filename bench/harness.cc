@@ -251,10 +251,10 @@ findScenario(const std::string &name)
 void
 listScenarios()
 {
-    std::printf("%-18s %-6s %s\n", "scenario", "smoke",
+    std::printf("%-20s %-6s %s\n", "scenario", "smoke",
                 "description");
     for (const auto &s : scenarios())
-        std::printf("%-18s %-6s %s\n", s.name,
+        std::printf("%-20s %-6s %s\n", s.name,
                     s.inSmokeSet ? "yes" : "no", s.description);
 }
 
@@ -512,10 +512,18 @@ parsePositive(const char *flag, const char *text, double &out)
 constexpr std::uint64_t maxJobs = 1024;
 
 } // namespace
+} // namespace tf::bench
 
+/**
+ * tf_bench, the only bench entry point: parses the flags usage()
+ * lists and runs the selected scenarios and topology files, writing
+ * one BENCH_<name>.json each (and, under --trace, a Perfetto-loadable
+ * trace-event file).
+ */
 int
-harnessMain(int argc, char **argv)
+main(int argc, char **argv)
 {
+    using namespace tf::bench;
     Options opt;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -573,5 +581,3 @@ harnessMain(int argc, char **argv)
     }
     return runScenarios(opt);
 }
-
-} // namespace tf::bench

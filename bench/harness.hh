@@ -52,10 +52,8 @@ struct Bed
 
 /** Fresh testbed per data point so runs are independent. */
 inline Bed
-makeBed(sys::Setup setup,
-        std::uint64_t donated = 512ULL * 1024 * 1024,
-        std::uint64_t cacheBytes = 64ULL * 1024 * 1024,
-        std::uint64_t seed = 42)
+makeBed(sys::Setup setup, std::uint64_t donated,
+        std::uint64_t cacheBytes, std::uint64_t seed)
 {
     Bed bed;
     bed.eq = std::make_unique<sim::EventQueue>();
@@ -241,14 +239,6 @@ struct Scenario
 
 /** Every registered scenario, in fixed order. */
 const std::vector<Scenario> &scenarios();
-
-/**
- * The tf_bench entry point: parses --list / --smoke / --scenario /
- * --seed / --out / --trace and runs the selected scenarios, writing
- * one BENCH_<name>.json each (and, under --trace, a Perfetto-loadable
- * trace-event file).
- */
-int harnessMain(int argc, char **argv);
 
 } // namespace tf::bench
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * The named scenarios behind tf_bench and the figure wrappers.
+ * The named scenarios behind tf_bench.
  *
  * Each scenario is deterministic under a fixed seed and scales
  * itself down in smoke mode so the CI bench-smoke job finishes in
@@ -23,10 +23,13 @@
 #include "apps/memcached.hh"
 #include "apps/stream.hh"
 #include "apps/voltdb.hh"
+#include "dc/simulation.hh"
 #include "dc/trace.hh"
 #include "os/migration.hh"
+#include "os/swap.hh"
 #include "sim/logging.hh"
 #include "sim/parallel/engine.hh"
+#include "system/memory_path.hh"
 #include "system/rack.hh"
 #include "tflow/datapath.hh"
 
@@ -120,6 +123,57 @@ runSimKernel(ScenarioContext &ctx)
     ctx.registry().freezeAll();
 }
 
+// ------------------------ fig01_datacenter -------------------------
+
+/**
+ * Fig. 1: data-centre utilisation, conventional ("fixed") servers vs
+ * disaggregated modules, replaying a synthetic ClusterData-like
+ * trace. The paper replays 12555 servers; the full run is a 1:10
+ * replica (1255 servers / 1255+1255 modules) at the same offered
+ * utilisation, since fragmentation and resources-off are per-unit
+ * averages and scale-invariant. Smoke shrinks modules, jobs and the
+ * arrival rate by another 10x, which keeps the offered load.
+ *
+ * Paper (Section II): fragmentation fixed CPU 16% / MEM 29.5%,
+ * disaggregated 3.86% / 9.2%; resources off fixed ~1%, disaggregated
+ * CPU 8% / MEM 27%.
+ */
+void
+runFig01Datacenter(ScenarioContext &ctx)
+{
+    const std::size_t scale = ctx.smoke() ? 10 : 1;
+    const std::size_t modules = 1255 / scale;
+    dc::TraceParams tp;
+    tp.jobs = 100000 / scale;
+    tp.meanInterarrival = sim::milliseconds(2.2 * scale);
+    tp.durationMu = std::log(static_cast<double>(sim::seconds(25)));
+    tp.durationSigma = 0.6;
+    tp.cpuMu = std::log(0.05);
+    tp.cpuSigma = 1.0;
+    const auto trace = dc::TraceGenerator(tp, ctx.seed()).generate();
+
+    ctx.runPoints(2, [&](ScenarioContext &sub, std::size_t i) {
+        std::unique_ptr<dc::DataCentreModel> model;
+        if (i == 0)
+            // Conventional servers behave like the trace's own
+            // machines: production schedulers spread, so nearly
+            // every machine is on.
+            model = std::make_unique<dc::FixedModel>(
+                modules, dc::FixedModel::Placement::LeastLoaded);
+        else
+            model = std::make_unique<dc::DisaggModel>(modules, modules, 16);
+        auto r = dc::DataCentreSimulation(0.25).run(*model, trace);
+        const std::string p = i == 0 ? "fixed." : "disagg.";
+        sub.metric(p + "cpuFragmentationPct",
+                   100 * r.average.cpuFragmentation, "%");
+        sub.metric(p + "memFragmentationPct",
+                   100 * r.average.memFragmentation, "%");
+        sub.metric(p + "cpuOffPct", 100 * r.average.cpuOff, "%");
+        sub.metric(p + "memOffPct", 100 * r.average.memOff, "%");
+        sub.metric(p + "placed", static_cast<double>(r.placed), "jobs");
+    });
+}
+
 // ------------------------- proto_datapath --------------------------
 
 constexpr mem::Addr kWindowBase = 0x2000000000ULL;
@@ -153,7 +207,50 @@ struct Rig
         dp->attach(0, kDonorBase, 1, {0});
         dp->attach(1, kDonorBase + kSection, 2, {0, 1});
     }
+
+    /**
+     * Chain @p warmup + @p total 128 B reads from @p base, 192 deep,
+     * and return the GiB/s of the last @p total. The warmup chains
+     * straight into the measured phase; @p onWarm runs at the
+     * boundary.
+     */
+    double readStream(mem::Addr base, int warmup, int total,
+                      const std::function<void()> &onWarm = [] {})
+    {
+        const int issuedTotal = warmup + total;
+        int issued = 0, completed = 0;
+        sim::Tick start = 0;
+        std::function<void()> one = [&]() {
+            if (issued >= issuedTotal)
+                return;
+            auto txn = mem::makeTxn(
+                mem::TxnType::ReadReq,
+                base + (static_cast<mem::Addr>(issued) * 128) % kSection);
+            ++issued;
+            txn->onComplete = [&](mem::MemTxn &) {
+                if (++completed == warmup) {
+                    onWarm();
+                    start = eq.now();
+                }
+                one();
+            };
+            dp->issue(txn);
+        };
+        for (int i = 0; i < 192 && i < issuedTotal; ++i)
+            one();
+        eq.run();
+        return static_cast<double>(total) * 128 /
+               (1024.0 * 1024 * 1024) / sim::toSec(eq.now() - start);
+    }
 };
+
+/** Sum of an LLC Tx counter over both directions of channel 0. */
+double
+channel0(Rig &rig, std::uint64_t (flow::LlcTx::*counter)() const)
+{
+    flow::LlcChannel &ch = rig.dp->channel(0);
+    return static_cast<double>((ch.txA().*counter)() + (ch.txB().*counter)());
+}
 
 /** Unloaded flit RTT: zero-latency memory isolates the datapath. */
 void
@@ -212,33 +309,11 @@ protoBandwidthPoint(ScenarioContext &sub, const std::string &prefix,
     // state this point exists to measure. Stats and spans are reset
     // at the warmup-completion boundary instead (in-flight trips are
     // excluded from the attribution by its started-in-window rule).
-    const int issuedTotal = warmup + total;
-    int issued = 0, completed = 0;
-    sim::Tick start = 0;
-    std::function<void()> one = [&]() {
-        if (issued >= issuedTotal)
-            return;
-        auto txn = mem::makeTxn(
-            mem::TxnType::ReadReq,
-            base + (static_cast<mem::Addr>(issued) * 128) % kSection);
-        ++issued;
-        txn->onComplete = [&](mem::MemTxn &) {
-            if (++completed == warmup) {
-                sub.registry().resetAll(prefix);
-                if (traced)
-                    rig.eq.trace().clear();
-                start = rig.eq.now();
-            }
-            one();
-        };
-        rig.dp->issue(txn);
-    };
-    for (int i = 0; i < 192 && i < issuedTotal; ++i)
-        one();
-    rig.eq.run();
-    double gib = static_cast<double>(total) * 128 /
-                 (1024.0 * 1024 * 1024) /
-                 sim::toSec(rig.eq.now() - start);
+    double gib = rig.readStream(base, warmup, total, [&] {
+        sub.registry().resetAll(prefix);
+        if (traced)
+            rig.eq.trace().clear();
+    });
     if (quantiles) {
         sub.metric("singleGiBs", gib, "GiB/s");
         const sim::SampleStat &rtt = rig.dp->compute().rttNs();
@@ -316,6 +391,287 @@ runProtoDatapath(ScenarioContext &ctx)
     });
 }
 
+// -------------------------- ablation_llc ---------------------------
+
+/**
+ * The read stream over channel 0 (flow 1 of the proto Rig) that the
+ * LLC ablations drive. Records `<prefix>.GiBs` and returns the
+ * drained rig for the caller's counters; the caller freezes stats.
+ */
+std::unique_ptr<Rig>
+llcReadStream(ScenarioContext &sub, const std::string &prefix,
+              const flow::FlowParams &fp, int total, bool traced)
+{
+    auto rig = std::make_unique<Rig>(sub.seed(), fp);
+    if (traced)
+        rig->eq.trace().setFull(true);
+    rig->dp->registerStats(sub.registry(), prefix);
+    rig->eq.attachStats(sub.registry().at(prefix + ".eq"));
+    sub.metric(prefix + ".GiBs", rig->readStream(kWindowBase, 0, total),
+               "GiB/s");
+    sub.addRun(rig->eq);
+    return rig;
+}
+
+/** STREAM copy, 8 threads, over a localShare:1 local:remote page mix. */
+void
+interleavePoint(ScenarioContext &sub, int localShare,
+                std::uint64_t elements)
+{
+    auto bed = makeBed(sys::Setup::SingleDisaggregated,
+                       256ULL * 1024 * 1024, 4ULL * 1024 * 1024,
+                       sub.seed());
+    sim::EventQueue &eq = *bed.eq;
+    sys::Node &node = bed.testbed->serverA();
+    const std::string prefix =
+        "interleave" + std::to_string(localShare) + "to1";
+    bed.testbed->registerStats(sub.registry(), prefix);
+    eq.attachStats(sub.registry().at(prefix + ".eq"));
+    // localShare local pages per remote one: 0:1 is pure remote, 1:1
+    // is Fig. 5's interleaved configuration.
+    std::vector<os::NodeId> nodes(static_cast<std::size_t>(localShare),
+                                  node.localNode());
+    nodes.push_back(node.tflowNode());
+    os::AddressSpace space(node.mm(), node.localNode(),
+                           os::AllocPolicy::interleave(nodes));
+    sys::MemoryPath path(node);
+    const mem::Addr a = space.mmap(elements * 8);
+    const mem::Addr c = space.mmap(elements * 8);
+    const std::uint64_t perThread = elements * 8 / 128 / 8;
+    const sim::Tick start = eq.now();
+    std::function<void(std::uint64_t, std::uint64_t)> copy =
+        [&](std::uint64_t cur, std::uint64_t end) {
+            if (cur >= end)
+                return;
+            std::uint64_t chunk = std::min<std::uint64_t>(64, end - cur);
+            std::vector<sys::Access> acc;
+            for (std::uint64_t i = 0; i < chunk; ++i) {
+                acc.push_back(sys::Access{a + (cur + i) * 128, false});
+                acc.push_back(sys::Access{c + (cur + i) * 128, true});
+            }
+            path.burstMixed(
+                space, std::move(acc), 24,
+                [&copy, cur, chunk, end]() { copy(cur + chunk, end); },
+                true);
+        };
+    for (std::uint64_t t = 0; t < 8; ++t)
+        copy(t * perThread, (t + 1) * perThread);
+    eq.run();
+    sub.metric(prefix + ".GiBs",
+               static_cast<double>(elements) * 16 /
+                   (1024.0 * 1024 * 1024) /
+                   sim::toSec(eq.now() - start),
+               "GiB/s");
+    sub.addRun(eq);
+    sub.registry().freezeAll();
+}
+
+/**
+ * Ablations of the LLC design choices DESIGN.md calls out, each point
+ * on its own rig:
+ *
+ *  - `credits<N>`: Rx credit window vs credit starvation.
+ *  - `loss<P>pct`: frame error rate vs go-back-N replay cost.
+ *  - `interleave<L>to1`: STREAM copy over an L:1 local:remote mix.
+ *  - `grid.c<credits>f<flits>`: credit depth x frame size under
+ *    cut-through framing, with the point's own llcReq/c1/llcResp p99
+ *    and total p50/p99 (the sweep that picked the FlowParams
+ *    defaults, DESIGN.md section 15). Its 64-credit row is the frame
+ *    size ablation.
+ */
+void
+runAblationLlc(ScenarioContext &ctx)
+{
+    const int total = ctx.smoke() ? 3000 : 25000;
+    const int lossTotal = ctx.smoke() ? 2000 : 15000;
+    const std::uint64_t elements = ctx.smoke() ? 64 * 1024 : 1024 * 1024;
+    const std::vector<std::uint32_t> gridCredits =
+        ctx.smoke() ? std::vector<std::uint32_t>{16, 64}
+                    : std::vector<std::uint32_t>{16, 32, 64, 128};
+    const std::vector<std::uint32_t> gridFlits =
+        ctx.smoke() ? std::vector<std::uint32_t>{8, 128}
+                    : std::vector<std::uint32_t>{8, 16, 32, 64, 128};
+
+    std::vector<std::function<void(ScenarioContext &)>> points;
+    for (std::uint32_t credits : {2u, 4u, 8u, 16u, 64u}) {
+        points.push_back([=](ScenarioContext &sub) {
+            flow::FlowParams fp;
+            fp.rxQueueFrames = credits;
+            fp.replayBufferFrames = std::max(credits * 4, 64u);
+            const std::string p = "credits" + std::to_string(credits);
+            auto rig = llcReadStream(sub, p, fp, total, false);
+            sub.metric(p + ".stalls",
+                       channel0(*rig, &flow::LlcTx::creditStalls),
+                       "stalls");
+            sub.registry().freezeAll();
+        });
+    }
+    const std::pair<double, const char *> losses[] = {
+        {0.0, "loss0pct"}, {0.001, "loss0p1pct"}, {0.01, "loss1pct"},
+        {0.05, "loss5pct"}};
+    for (auto [rate, name] : losses) {
+        points.push_back([=](ScenarioContext &sub) {
+            flow::FlowParams fp;
+            fp.frameErrorRate = rate;
+            fp.ackTimeout = sim::microseconds(10);
+            auto rig = llcReadStream(sub, name, fp, lossTotal, false);
+            sub.metric(std::string(name) + ".replays",
+                       channel0(*rig, &flow::LlcTx::replayedFrames),
+                       "frames");
+            sub.registry().freezeAll();
+        });
+    }
+    for (int localShare : {0, 1, 2, 3})
+        points.push_back([=](ScenarioContext &sub) {
+            interleavePoint(sub, localShare, elements);
+        });
+    for (std::uint32_t credits : gridCredits) {
+        for (std::uint32_t flits : gridFlits) {
+            points.push_back([=](ScenarioContext &sub) {
+                flow::FlowParams fp;
+                fp.cutThrough = true;
+                fp.rxQueueFrames = credits;
+                fp.replayBufferFrames = std::max(credits * 4, 64u);
+                fp.frameFlits = flits;
+                const std::string p = "grid.c" + std::to_string(credits) +
+                                      "f" + std::to_string(flits);
+                auto rig = llcReadStream(sub, p, fp, total, true);
+                sim::trace::TraceCollector collector;
+                collector.addBuffer(rig->eq.trace(), p);
+                sim::trace::Attribution attr = collector.attribution();
+                auto p99 = [&](sim::trace::Stage s) {
+                    return attr.stageNs[static_cast<std::size_t>(s)]
+                        .quantile(0.99);
+                };
+                sub.metric(p + ".llcReqP99Ns",
+                           p99(sim::trace::Stage::LlcReq), "ns");
+                sub.metric(p + ".c1P99Ns", p99(sim::trace::Stage::C1), "ns");
+                sub.metric(p + ".llcRespP99Ns",
+                           p99(sim::trace::Stage::LlcResp), "ns");
+                sub.metric(p + ".totalP50Ns",
+                           attr.totalNs.quantile(0.50), "ns");
+                sub.metric(p + ".totalP99Ns",
+                           attr.totalNs.quantile(0.99), "ns");
+                sub.registry().freezeAll();
+            });
+        }
+    }
+    ctx.runPoints(points.size(),
+                  [&](ScenarioContext &sub, std::size_t i) {
+                      points[i](sub);
+                  });
+}
+
+// -------------------------- baseline_swap --------------------------
+
+constexpr std::uint64_t kSwapLocalBytes = 64ULL * 1024 * 1024;
+
+/**
+ * One working set of the swap baseline: the same access stream, 16
+ * deep and every fourth access a write, through page-fault swap (64
+ * KiB pages over an RDMA-class link, kSwapLocalBytes of local page
+ * cache) and through ThymesisFlow ld/st. Records the mean
+ * microseconds per access of each.
+ */
+void
+swapPoint(ScenarioContext &sub, const std::string &prefix,
+          double wsRatio, bool zipf, int accesses)
+{
+    const auto span = static_cast<std::uint64_t>(
+        wsRatio * static_cast<double>(kSwapLocalBytes));
+    // A cacheline in [0, span): uniform, or 90% of accesses to the
+    // hottest 10% of the set.
+    auto pick = [span, zipf](sim::Rng &rng) {
+        if (!zipf)
+            return mem::alignDown(rng.below(span), mem::cachelineBytes);
+        std::uint64_t hot = span / 10;
+        std::uint64_t addr = rng.chance(0.9)
+                                 ? rng.below(hot)
+                                 : hot + rng.below(span - hot);
+        return mem::alignDown(addr, mem::cachelineBytes);
+    };
+    // access(write, done) issues one access; done() chains the next.
+    auto closedLoop = [&](sim::EventQueue &eq, const std::string &leg,
+                          auto access) {
+        int issued = 0;
+        std::function<void()> one = [&]() {
+            if (issued >= accesses)
+                return;
+            ++issued;
+            access(issued % 4 == 0, one);
+        };
+        for (int i = 0; i < 16; ++i)
+            one();
+        eq.run();
+        sub.metric(prefix + "." + leg + "Us",
+                   sim::toUs(eq.now()) / accesses * 16, "us");
+        sub.addRun(eq);
+    };
+
+    sim::EventQueue swapEq;
+    sim::Rng swapRng(sub.seed());
+    swapEq.attachStats(sub.registry().at(prefix + ".swap.eq"));
+    mem::Dram dram("localDram", swapEq, mem::DramParams{}, nullptr);
+    os::SwapParams sp;
+    sp.localPages = kSwapLocalBytes / sp.pageBytes;
+    os::SwappingMemory swap("swap", swapEq, sp, dram);
+    closedLoop(swapEq, "swap", [&](bool write, std::function<void()> done) {
+        swap.access(pick(swapRng), write, std::move(done));
+    });
+
+    // ld/st: all 64 sections bonded over both channels, which is not
+    // the proto Rig's layout.
+    sim::EventQueue eq;
+    sim::Rng rng(sub.seed());
+    mem::Dram donor("donorDram", eq, mem::DramParams{}, nullptr);
+    ocapi::PasidRegistry pasids;
+    flow::Datapath dp("dp", eq, flow::FlowParams{},
+                      ocapi::M1Window{kWindowBase, kWindowSize}, pasids,
+                      donor, rng, kSection);
+    auto pasid = pasids.allocate();
+    pasids.registerRegion(pasid, kDonorBase, kWindowSize);
+    dp.stealing().setPasid(pasid);
+    for (std::size_t s = 0; s < kWindowSize / kSection; ++s)
+        dp.attach(s, kDonorBase + s * kSection, 1, {0, 1});
+    dp.registerStats(sub.registry(), prefix + ".tflow");
+    eq.attachStats(sub.registry().at(prefix + ".tflow.eq"));
+    closedLoop(eq, "tflow", [&](bool write, std::function<void()> done) {
+        auto txn = mem::makeTxn(write ? mem::TxnType::WriteReq
+                                      : mem::TxnType::ReadReq,
+                                kWindowBase + pick(rng));
+        if (write)
+            txn->data.assign(mem::cachelineBytes, 0);
+        txn->onComplete = [done](mem::MemTxn &) { done(); };
+        dp.issue(txn);
+    });
+    sub.registry().freezeAll();
+}
+
+/**
+ * Section III baseline: page-fault/swap remote memory (Lim et al. /
+ * Infiniswap class) vs ThymesisFlow's byte-addressable ld/st, over
+ * working sets of 0.5x to 3x the local memory (`ws<percent>pct`),
+ * under uniform and Zipf-like access. While the working set fits
+ * locally swap behaves like local DRAM and wins; past it the fault
+ * path's page-granularity amplification thrashes, while ld/st stays
+ * flat at about 1 us.
+ */
+void
+runBaselineSwap(ScenarioContext &ctx)
+{
+    const int accesses = ctx.smoke() ? 6000 : 60000;
+    constexpr double ratios[] = {0.5, 0.9, 1.1, 1.5, 3.0};
+    constexpr std::size_t n = std::size(ratios);
+    ctx.runPoints(2 * n, [&](ScenarioContext &sub, std::size_t i) {
+        bool zipf = i >= n;
+        double ratio = ratios[i % n];
+        swapPoint(sub,
+                  std::string(zipf ? "zipf-hot" : "uniform") + ".ws" +
+                      std::to_string(std::lround(ratio * 100)) + "pct",
+                  ratio, zipf, accesses);
+    });
+}
+
 // -------------------------- fig05_stream ---------------------------
 
 void
@@ -363,6 +719,7 @@ runFig05Stream(ScenarioContext &ctx)
                 std::string(apps::streamKernelName(pt.kernel)) +
                 std::to_string(pt.threads) + "t." + name;
             bed.testbed->registerStats(sub.registry(), point);
+            bed.eq->attachStats(sub.registry().at(point + ".eq"));
             apps::StreamParams sp;
             sp.elements = elements;
             sp.threads = pt.threads;
@@ -384,6 +741,73 @@ runFig05Stream(ScenarioContext &ctx)
             sub.addRun(*bed.eq);
             sub.registry().freezeAll();
         });
+}
+
+// ---------------------- fig06_voltdb_profile -----------------------
+
+/**
+ * Fig. 6: VoltDB profiling across YCSB workloads and partition
+ * counts, local vs single-disaggregated. Per point: package IPC,
+ * average utilised CPU cores (UCC) and the back-end stall share the
+ * paper quotes in its text (55.5% local vs 80.9% disaggregated on
+ * average), plus that average per configuration.
+ *
+ * Paper shape: for the mixed workloads (A, F) IPC grows with
+ * partitions, biggest step 4 -> 16; the read-dominated ones (B-E)
+ * stay flat. Disaggregated runs show higher UCC and lower IPC.
+ */
+void
+runFig06VoltdbProfile(ScenarioContext &ctx)
+{
+    using apps::YcsbWorkload;
+    const std::vector<YcsbWorkload> workloads =
+        ctx.smoke()
+            ? std::vector<YcsbWorkload>{YcsbWorkload::A, YcsbWorkload::E}
+            : std::vector<YcsbWorkload>{YcsbWorkload::A, YcsbWorkload::B,
+                                        YcsbWorkload::C, YcsbWorkload::D,
+                                        YcsbWorkload::E, YcsbWorkload::F};
+    const std::vector<int> partitionCounts =
+        ctx.smoke() ? std::vector<int>{4, 16}
+                    : std::vector<int>{4, 16, 32, 64};
+    const sys::Setup setups[] = {sys::Setup::Local,
+                                 sys::Setup::SingleDisaggregated};
+
+    // Point i: workload-major, then partitions, then setup (i % 2).
+    const std::size_t n = workloads.size() * partitionCounts.size() * 2;
+    std::vector<double> stall(n);
+    ctx.runPoints(n, [&](ScenarioContext &sub, std::size_t i) {
+        YcsbWorkload wl = workloads[i / 2 / partitionCounts.size()];
+        int partitions = partitionCounts[i / 2 % partitionCounts.size()];
+        sys::Setup setup = setups[i % 2];
+        auto bed = makeBed(setup, 512ULL * 1024 * 1024,
+                           64ULL * 1024 * 1024, sub.seed());
+        std::string point = std::string(apps::ycsbName(wl)) + "." +
+                            std::to_string(partitions) + "p." +
+                            sys::setupName(setup);
+        bed.testbed->registerStats(sub.registry(), point);
+        bed.eq->attachStats(sub.registry().at(point + ".eq"));
+        apps::VoltDbParams vp;
+        vp.workload = wl;
+        vp.partitions = partitions;
+        // Scans (E) are ~40x heavier per operation.
+        std::uint64_t ops = wl == YcsbWorkload::E ? 6000 : 25000;
+        vp.totalOps = sub.smoke() ? ops / 25 : ops;
+        auto r = apps::VoltDbBenchmark(*bed.testbed, vp).run();
+        sub.metric(point + ".ipc", r.packageIpc);
+        sub.metric(point + ".ucc", r.ucc, "cores");
+        sub.metric(point + ".stallPct", 100 * r.backendStallFraction, "%");
+        stall[i] = r.backendStallFraction;
+        sub.addRun(*bed.eq);
+        sub.registry().freezeAll();
+    });
+
+    for (std::size_t s = 0; s < 2; ++s) {
+        double sum = 0;
+        for (std::size_t i = s; i < n; i += 2)
+            sum += stall[i];
+        ctx.metric(std::string("stallPctAvg.") + sys::setupName(setups[s]),
+                   100 * sum / static_cast<double>(n / 2), "%");
+    }
 }
 
 // ------------------------- fig07_ycsb ------------------------------
@@ -429,6 +853,7 @@ runFig07Ycsb(ScenarioContext &ctx)
                     static_cast<std::uint32_t>(i) + 1);
             }
             bed.testbed->registerStats(sub.registry(), point);
+            bed.eq->attachStats(sub.registry().at(point + ".eq"));
             apps::VoltDbParams vp;
             vp.workload = pt.workload;
             vp.partitions = pt.partitions;
@@ -459,6 +884,7 @@ runFig08Memcached(ScenarioContext &ctx)
             auto bed = makeBed(setup, 512ULL * 1024 * 1024,
                                8ULL * 1024 * 1024, sub.seed());
             bed.testbed->registerStats(sub.registry(), name);
+            bed.eq->attachStats(sub.registry().at(std::string(name) + ".eq"));
             apps::MemcachedParams mp;
             if (sub.smoke()) {
                 mp.cacheItems = 24000;
@@ -536,6 +962,7 @@ runFig09Elastic(ScenarioContext &ctx)
                     static_cast<std::uint32_t>(i) + 1);
             }
             bed.testbed->registerStats(sub.registry(), point);
+            bed.eq->attachStats(sub.registry().at(point + ".eq"));
             apps::ElasticParams ep;
             ep.challenge = cell.point.challenge;
             ep.shards = cell.shards;
@@ -1260,6 +1687,96 @@ runCacheVsMigration(ScenarioContext &ctx)
     ctx.metric("cacheFitP50VsLocal", p50Us[2] / p50Us[0], "x");
 }
 
+// ----------------------- ablation_autonuma -------------------------
+
+/**
+ * Section IV-B: the paper maps each disaggregated section to a
+ * CPU-less NUMA node so the kernel's NUMA balancing can migrate hot
+ * pages from remote to local memory. Eight closed-loop threads make
+ * skewed accesses (90% to the hottest 10% of 512 pages, every page
+ * initially remote), epoch by epoch; point 0 runs with balancing
+ * off, point 1 with a scan after every epoch. The hot set moves
+ * local and the mean access time falls towards local DRAM, at the
+ * price of one page copy per migration.
+ */
+void
+runAblationAutonuma(ScenarioContext &ctx)
+{
+    constexpr std::uint64_t kPages = 512;
+    constexpr std::uint64_t kHotPages = kPages / 10;
+    const int epochs = ctx.smoke() ? 4 : 8;
+    const int accessesPerEpoch = ctx.smoke() ? 5000 : 20000;
+    std::array<double, 2> lastUs{};
+    ctx.runPoints(2, [&](ScenarioContext &sub, std::size_t i) {
+        const bool migrate = i == 1;
+        const std::string prefix = migrate ? "on" : "off";
+        auto bed = makeBed(sys::Setup::SingleDisaggregated,
+                           256ULL * 1024 * 1024, 2ULL * 1024 * 1024,
+                           sub.seed());
+        sim::EventQueue &eq = *bed.eq;
+        sys::Node &node = bed.testbed->serverA();
+        bed.testbed->registerStats(sub.registry(), prefix);
+        eq.attachStats(sub.registry().at(prefix + ".eq"));
+        const std::uint64_t pageBytes = node.mm().pageBytes();
+        os::AddressSpace space(node.mm(), node.localNode(),
+                               os::AllocPolicy::bind({node.tflowNode()}));
+        sys::MemoryPath path(node);
+        os::AutoNumaParams anp;
+        anp.hotThreshold = 64;
+        anp.maxMigrationsPerScan = 32;
+        os::AutoNuma autonuma(node.mm(), anp);
+        const mem::Addr va = space.mmap(kPages * pageBytes);
+        sim::Rng rng(sub.seed());
+
+        for (int epoch = 0; epoch < epochs; ++epoch) {
+            const std::string e = prefix + ".e" + std::to_string(epoch);
+            const sim::Tick start = eq.now();
+            int issued = 0;
+            std::function<void()> one = [&]() {
+                if (issued >= accessesPerEpoch)
+                    return;
+                ++issued;
+                std::uint64_t page =
+                    rng.chance(0.9)
+                        ? rng.below(kHotPages)
+                        : kHotPages + rng.below(kPages - kHotPages);
+                mem::Addr addr = va + page * pageBytes +
+                                 mem::alignDown(rng.below(pageBytes),
+                                                mem::cachelineBytes);
+                autonuma.recordAccess(space, addr, node.localNode());
+                path.burst(space, {addr}, false, 1, [&]() { one(); });
+            };
+            for (int t = 0; t < 8; ++t)
+                one();
+            eq.run();
+            lastUs[i] = sim::toUs(eq.now() - start) / accessesPerEpoch * 8;
+            sub.metric(e + ".meanUs", lastUs[i], "us");
+            if (!migrate)
+                continue;
+            // Charge each migration's page copy on the migrated page
+            // itself: every line is written at its new local home.
+            for (const os::Migration &m : autonuma.scan()) {
+                std::vector<mem::Addr> lines;
+                for (std::uint64_t off = 0; off < pageBytes;
+                     off += mem::cachelineBytes)
+                    lines.push_back(m.vaddr + off);
+                path.burst(space, lines, true, 16, []() {});
+            }
+            eq.run();
+            sub.metric(e + ".localPages",
+                       static_cast<double>(
+                           space.residency()[node.localNode()]),
+                       "pages");
+            sub.metric(e + ".migratedPages",
+                       static_cast<double>(autonuma.migrations()),
+                       "pages");
+        }
+        sub.addRun(eq);
+        sub.registry().freezeAll();
+    });
+    ctx.metric("speedupSteadyState", lastUs[0] / lastUs[1], "x");
+}
+
 } // namespace
 
 const std::vector<Scenario> &
@@ -1270,13 +1787,29 @@ scenarios()
          "Event-kernel events/sec: steady chains + "
          "schedule/cancel-heavy ack-timer churn",
          true, runSimKernel},
+        {"fig01_datacenter",
+         "Fig. 1: fragmentation and resources off, fixed servers vs "
+         "disaggregated modules",
+         true, runFig01Datacenter},
         {"proto_datapath",
          "Section V prototype: flit RTT, channel/bonded bandwidth, "
          "C1 ceiling",
          true, runProtoDatapath},
+        {"ablation_llc",
+         "LLC ablations: credit window, frame loss, interleave "
+         "ratio, credit x frame-size attribution grid",
+         true, runAblationLlc},
+        {"baseline_swap",
+         "Section III baseline: swap-based remote memory vs ld/st "
+         "over working set x access pattern",
+         true, runBaselineSwap},
         {"fig05_stream",
          "Fig. 5: STREAM sustained bandwidth per configuration",
          true, runFig05Stream},
+        {"fig06_voltdb_profile",
+         "Fig. 6: VoltDB IPC, utilised cores and back-end stalls, "
+         "local vs single-disaggregated",
+         true, runFig06VoltdbProfile},
         {"fig07_ycsb",
          "Fig. 7: VoltDB YCSB A/E throughput per configuration",
          false, runFig07Ycsb},
@@ -1298,6 +1831,10 @@ scenarios()
          "Compute-side page cache vs AutoNUMA migration: skewed "
          "working sets at 0.5x/2x/4x the frame budget",
          true, runCacheVsMigration},
+        {"ablation_autonuma",
+         "Section IV-B: AutoNUMA hot-page migration, epoch series "
+         "with balancing off and on",
+         true, runAblationAutonuma},
     };
     return table;
 }

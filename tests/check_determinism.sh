@@ -2,16 +2,18 @@
 # Same-seed determinism cross-check for the parallel bench harness.
 #
 # Runs the smoke-sized proto_datapath, fig05_stream, fig07_ycsb,
-# fig09_elastic, fault_soak and cache_vs_migration scenarios with
-# --jobs 1, 2 and 4 and requires every result document to be
-# byte-identical (--no-wall strips the only legitimately varying
-# field). This is the end-to-end guarantee the parallel engine and the
-# point-sharding harness promise: worker count must not be observable
-# in any output — including the chaos soak, whose seeded FaultPlans
-# must replay identically on every worker layout, the page cache,
-# whose fill/flush/provider machinery must not leak scheduling order
-# into its stats, and the scale-out points of fig07/fig09, the
-# heaviest users of the testbed's Ethernet links.
+# fig09_elastic, fault_soak and cache_vs_migration scenarios, plus
+# fig01_datacenter, fig06_voltdb_profile, ablation_llc, baseline_swap
+# and ablation_autonuma, with --jobs 1, 2 and 4 and requires every
+# result document to be byte-identical (--no-wall strips the only
+# legitimately varying field). This is the end-to-end guarantee the
+# parallel engine and the point-sharding harness promise: worker
+# count must not be observable in any output — including the chaos
+# soak, whose seeded FaultPlans must replay identically on every
+# worker layout, the page cache, whose fill/flush/provider machinery
+# must not leak scheduling order into its stats, and the scale-out
+# points of fig07/fig09, the heaviest users of the testbed's Ethernet
+# links.
 #
 # Usage: check_determinism.sh <path-to-tf_bench>
 
@@ -27,13 +29,13 @@ workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
 scenarios="proto_datapath fig05_stream fig07_ycsb fig09_elastic"
-scenarios="$scenarios fault_soak cache_vs_migration"
+scenarios="$scenarios fault_soak cache_vs_migration fig01_datacenter"
+scenarios="$scenarios fig06_voltdb_profile ablation_llc baseline_swap"
+scenarios="$scenarios ablation_autonuma"
 for jobs in 1 2 4; do
     mkdir -p "$workdir/j$jobs"
     "$bench" --smoke --no-wall --seed 42 --jobs "$jobs" \
-        --scenario proto_datapath --scenario fig05_stream \
-        --scenario fig07_ycsb --scenario fig09_elastic \
-        --scenario fault_soak --scenario cache_vs_migration \
+        $(printf -- '--scenario %s ' $scenarios) \
         --out "$workdir/j$jobs" > /dev/null
 done
 
