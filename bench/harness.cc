@@ -196,8 +196,12 @@ ScenarioContext::toJson(double wallMs) const
     w.field("config", _smoke ? "smoke" : "full");
     w.field("simTicks", _simTicks);
     w.field("events", _events);
-    if (wallMs >= 0)
+    if (wallMs >= 0) {
         w.field("wallMs", wallMs);
+        if (wallMs > 0)
+            w.field("eventsPerSec",
+                    static_cast<double>(_events) * 1e3 / wallMs);
+    }
     w.endObject();
 
     w.name("metrics");

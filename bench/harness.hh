@@ -9,7 +9,7 @@
  *  - run metadata (seed, git SHA, config, simulated ticks, events).
  * The harness writes one BENCH_<scenario>.json per scenario; with a
  * fixed seed the document is byte-identical across runs except for
- * the wall-clock field, which CI's regression gate ignores.
+ * the wall-clock fields, which CI's regression gate ignores.
  */
 
 #ifndef TF_BENCH_HARNESS_HH
@@ -193,8 +193,9 @@ class ScenarioContext
 
     /**
      * Serialise the full result document. @p wallMs < 0 omits the
-     * wall-clock field, which makes same-seed runs byte-identical
-     * (the determinism tests rely on this).
+     * wall-clock fields (wallMs and the eventsPerSec derived from
+     * it), which makes same-seed runs byte-identical (the
+     * determinism tests rely on this).
      */
     std::string toJson(double wallMs = -1) const;
 

@@ -39,7 +39,7 @@ namespace {
 // --------------------------- sim_kernel ----------------------------
 
 /**
- * Event-kernel microbenchmark. Two legs:
+ * Event-kernel microbenchmark. Three legs:
  *
  *  - steady: self-rescheduling event chains, no cancellation — the
  *    pure push/pop floor of the kernel.
@@ -47,6 +47,13 @@ namespace {
  *    re-arms a long-dated timeout that never fires, so the kernel
  *    sees one cancellation per executed event and dead entries pile
  *    up for a full timeout window unless it reclaims them.
+ *  - datapath: memcached_etc's measured schedule mix. 32 stage chains
+ *    draw hop delays from {0, 1.28, 6.4, 40, 75, 95, 115} ns (9% zero,
+ *    16% 2-16 ns and 59% 65-131 ns ahead; the real run has 9.4%, 14%
+ *    and 61%), 64 client chains park 60-470 us out (about 96 live
+ *    entries; the real queue holds 64-127 most of the time), and
+ *    every 20th stage hop arms a 20 us timer that the next hop
+ *    cancels (the real 5% cancel rate).
  *
  * eventsPerSec* are wall-clock throughput (the only intentionally
  * non-deterministic metrics in the suite); cancelled / heapHighWater /
@@ -60,11 +67,34 @@ runSimKernel(ScenarioContext &ctx)
     constexpr int kChans = 64;
     const sim::Tick ackTimeout = 20'000;
 
+    // Drain one leg's queue against the wall clock, then export its
+    // kernel stats (frozen: the queue dies with the leg).
+    auto runLeg = [&ctx](sim::EventQueue &eq, const std::string &leg) {
+        auto t0 = std::chrono::steady_clock::now();
+        eq.run();
+        double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+        sim::StatSet &set = ctx.registry().at("sim.eq." + leg);
+        eq.attachStats(set);
+        set.freeze();
+        ctx.addRun(eq);
+        return static_cast<double>(eq.executed()) / secs;
+    };
+    auto deadEntryMetrics = [&ctx](const sim::EventQueue &eq,
+                                   const std::string &leg) {
+        ctx.metric(leg + "Cancelled",
+                   static_cast<double>(eq.cancelled()), "events");
+        ctx.metric(leg + "HeapHighWater",
+                   static_cast<double>(eq.heapHighWater()), "entries");
+        ctx.metric(leg + "Compactions",
+                   static_cast<double>(eq.compactions()), "events");
+    };
+
     // Steady leg: kChans independent chains, no cancels.
     {
         sim::EventQueue eq;
         sim::Rng rng(ctx.seed());
-        eq.attachStats(ctx.registry().at("sim.eq.steady"));
         std::uint64_t fired = 0;
         std::function<void()> chain = [&]() {
             if (++fired + kChans <= total)
@@ -72,22 +102,14 @@ runSimKernel(ScenarioContext &ctx)
         };
         for (int ch = 0; ch < kChans; ++ch)
             eq.scheduleIn(1 + rng.below(40), chain);
-        auto t0 = std::chrono::steady_clock::now();
-        eq.run();
-        double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        ctx.metric("eventsPerSecSteady",
-                   static_cast<double>(eq.executed()) / secs,
+        ctx.metric("eventsPerSecSteady", runLeg(eq, "steady"),
                    "events/s");
-        ctx.addRun(eq);
     }
 
     // Churn leg: ack-progress timer discipline (see file comment).
     {
         sim::EventQueue eq;
         sim::Rng rng(ctx.seed());
-        eq.attachStats(ctx.registry().at("sim.eq.churn"));
         std::vector<sim::EventQueue::EventId> timer(
             kChans, sim::EventQueue::invalidEvent);
         auto payload = std::make_shared<std::uint64_t>(0);
@@ -104,23 +126,51 @@ runSimKernel(ScenarioContext &ctx)
         };
         for (int ch = 0; ch < kChans; ++ch)
             eq.scheduleIn(1 + rng.below(40), [&ack, ch]() { ack(ch); });
-        auto t0 = std::chrono::steady_clock::now();
-        eq.run();
-        double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        ctx.metric("eventsPerSecChurn",
-                   static_cast<double>(eq.executed()) / secs,
-                   "events/s");
-        ctx.metric("churnCancelled",
-                   static_cast<double>(eq.cancelled()), "events");
-        ctx.metric("churnHeapHighWater",
-                   static_cast<double>(eq.heapHighWater()), "entries");
-        ctx.metric("churnCompactions",
-                   static_cast<double>(eq.compactions()), "events");
-        ctx.addRun(eq);
+        ctx.metric("eventsPerSecChurn", runLeg(eq, "churn"), "events/s");
+        deadEntryMetrics(eq, "churn");
     }
-    ctx.registry().freezeAll();
+
+    // Datapath leg: memcached_etc's schedule mix (see file comment).
+    {
+        constexpr int kStages = 32;
+        constexpr int kClients = 64;
+        // One 32-entry draw table, weighted by the measured mix.
+        std::vector<sim::Tick> hop;
+        const std::pair<double, int> mix[] = {
+            {0, 3},  {1.28, 2}, {6.4, 5}, {40, 3},
+            {75, 7}, {95, 6},   {115, 6}};
+        for (auto [ns, weight] : mix)
+            hop.insert(hop.end(), weight, sim::nanoseconds(ns));
+        sim::EventQueue eq;
+        sim::Rng rng(ctx.seed());
+        auto payload = std::make_shared<std::uint64_t>(0);
+        sim::EventQueue::EventId timer = sim::EventQueue::invalidEvent;
+        std::uint64_t fired = 0;
+        std::uint64_t hops = 0;
+        auto more = [&] { return ++fired + kStages + kClients <= total; };
+        std::function<void()> stage = [&]() {
+            eq.deschedule(timer);
+            timer = sim::EventQueue::invalidEvent;
+            if (++hops % 20 == 0)
+                timer = eq.scheduleIn(sim::microseconds(20),
+                                      [payload]() { ++*payload; });
+            if (more())
+                eq.scheduleIn(hop[rng.below(hop.size())], stage);
+        };
+        std::function<void()> client = [&]() {
+            if (more())
+                eq.scheduleIn(sim::microseconds(60) +
+                                  rng.below(sim::microseconds(410)),
+                              client);
+        };
+        for (int i = 0; i < kStages; ++i)
+            eq.scheduleIn(hop[rng.below(hop.size())], stage);
+        for (int i = 0; i < kClients; ++i)
+            eq.scheduleIn(rng.below(sim::microseconds(470)), client);
+        ctx.metric("eventsPerSecDatapath", runLeg(eq, "datapath"),
+                   "events/s");
+        deadEntryMetrics(eq, "datapath");
+    }
 }
 
 // ------------------------ fig01_datacenter -------------------------
@@ -1129,7 +1179,7 @@ faultSoakPoint(ScenarioContext &sub, std::size_t point, int totalOps)
 {
     const sim::Tick deadline = sim::microseconds(400);
     const sim::Tick horizon = sim::microseconds(300);
-    const std::string prefix = "p" + std::to_string(point);
+    const std::string prefix = sim::strprintf("p%zu", point);
 
     auto eq = std::make_unique<sim::EventQueue>();
     sys::TestbedParams tp;
@@ -1478,7 +1528,7 @@ cacheVsMigrationPoint(ScenarioContext &sub, std::size_t point,
                       int totalOps, double *p50OutUs)
 {
     const CvmPoint &pt = kCvmPoints[point];
-    const std::string prefix = "p" + std::to_string(point);
+    const std::string prefix = sim::strprintf("p%zu", point);
     constexpr std::uint32_t kBudget = 64; ///< cache frames
     // Small pages keep fills cheap (64 lines) and the sweep fast.
     constexpr std::uint64_t kPageBytes = 8 * 1024;

@@ -42,13 +42,7 @@ class SmallFn
                   std::is_invocable_r_v<void, D &>>>
     SmallFn(F &&f)
     {
-        if constexpr (fitsInline<D>()) {
-            ::new (static_cast<void *>(_buf)) D(std::forward<F>(f));
-            _ops = &inlineOps<D>;
-        } else {
-            *reinterpret_cast<D **>(_buf) = new D(std::forward<F>(f));
-            _ops = &heapOps<D>;
-        }
+        construct<D>(std::forward<F>(f));
     }
 
     SmallFn(SmallFn &&other) noexcept { moveFrom(other); }
@@ -81,6 +75,28 @@ class SmallFn
     operator()()
     {
         _ops->invoke(_buf);
+    }
+
+    /**
+     * Replace the held callable with @p f, built directly in this
+     * object's storage: no temporary SmallFn and no relocation. An
+     * rvalue SmallFn is moved in as usual.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        using D = std::decay_t<F>;
+        reset();
+        if constexpr (std::is_same_v<D, SmallFn>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "SmallFn is move-only");
+            moveFrom(f);
+        } else {
+            static_assert(std::is_invocable_r_v<void, D &>,
+                          "callable must be invocable as void()");
+            construct<D>(std::forward<F>(f));
+        }
     }
 
     /** Destroy the held callable (and release everything it captured). */
@@ -132,6 +148,19 @@ class SmallFn
         },
         [](void *buf) noexcept { delete *reinterpret_cast<D **>(buf); },
     };
+
+    template <typename D, typename F>
+    void
+    construct(F &&f)
+    {
+        if constexpr (fitsInline<D>()) {
+            ::new (static_cast<void *>(_buf)) D(std::forward<F>(f));
+            _ops = &inlineOps<D>;
+        } else {
+            *reinterpret_cast<D **>(_buf) = new D(std::forward<F>(f));
+            _ops = &heapOps<D>;
+        }
+    }
 
     void
     moveFrom(SmallFn &other) noexcept

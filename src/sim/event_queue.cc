@@ -4,34 +4,234 @@
 
 namespace tf::sim {
 
-EventQueue::EventId
-EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
+namespace {
+
+/** Pushes per width decision. */
+constexpr std::uint32_t kAdaptWindow = 4096;
+/** A sorted insert that walks past this many entries is "long". */
+constexpr unsigned kLongWalk = 8;
+/**
+ * A sorted insert gives up after this many entries and goes to the
+ * far heap instead, which is exact anywhere: a burst of same-tick
+ * events then costs O(log n) per event, not a walk of the bucket.
+ */
+constexpr unsigned kMaxWalk = 16;
+/** Widest bucket, 2^40 ticks (~1.1 s): the wheel then spans minutes. */
+constexpr unsigned kMaxShift = 40;
+
+/** std::push_heap/pop_heap comparator for a min-heap on earlier(). */
+struct Later
 {
-    TF_ASSERT(when >= _now, "scheduling into the past (%llu < %llu)",
-              (unsigned long long)when, (unsigned long long)_now);
-    std::uint32_t slot = allocSlot();
-    std::uint32_t gen = _slots[slot].gen;
-    _slots[slot].cb = std::move(cb);
-    _heap.push_back(Entry{when, ++_nextSeq, slot, gen,
-                          static_cast<std::int32_t>(prio)});
-    std::push_heap(_heap.begin(), _heap.end(), Later{});
+    template <typename E>
+    bool
+    operator()(const E &a, const E &b) const
+    {
+        return a.when != b.when ? a.when > b.when : a.key > b.key;
+    }
+};
+
+} // namespace
+
+std::uint32_t
+EventQueue::growSlots()
+{
+    TF_ASSERT(_slotEnd < (1ULL << 32), "event slot space exhausted");
+    auto slot = static_cast<std::uint32_t>(_slotEnd++);
+    // Chunk boundaries are the powers of two from kFirstSlot on.
+    if (std::has_single_bit(slot)) {
+        unsigned k = static_cast<unsigned>(std::bit_width(slot)) - 7;
+        _chunks[k] = std::make_unique<Slot[]>(kFirstSlot << k);
+    }
+    return slot;
+}
+
+void
+EventQueue::enqueue(Tick when, EventPriority prio, std::uint32_t slot,
+                    std::uint32_t gen)
+{
+    auto p = static_cast<std::uint64_t>(prio);
+    TF_ASSERT(p < 256, "event priority %llu out of range",
+              (unsigned long long)p);
+    insert(Entry{when, (p << 56) | ++_nextSeq, slot, gen}, true);
     ++_live;
-    if (_heap.size() > _highWater.value())
-        _highWater.inc(_heap.size() - _highWater.value());
-    return makeId(slot, gen);
+    std::size_t size = heapSize();
+    if (size > _highWater.value())
+        _highWater.inc(size - _highWater.value());
+    if (++_pushes == kAdaptWindow)
+        adaptWidth();
+}
+
+void
+EventQueue::insert(const Entry &e, bool count)
+{
+    std::uint64_t day = e.when >> _shift;
+    if (day - _cursor >= kBuckets) {
+        _farPushes += count;
+        pushFar(e);
+        return;
+    }
+    auto b = static_cast<unsigned>(day % kBuckets);
+    std::uint32_t prev = 0; // 0: insert at the bucket head
+    std::uint32_t next = _head[b];
+    unsigned walked = 0;
+    while (next != 0 && !earlier(e, _nodes[next].e)) {
+        if (++walked > kMaxWalk)
+            break;
+        prev = next;
+        next = _nodes[next].next;
+    }
+    if (count) {
+        ++_wheelPushes;
+        _longWalks += walked > kLongWalk;
+    }
+    if (walked > kMaxWalk) {
+        pushFar(e);
+        return;
+    }
+    std::uint32_t n = _freeNode;
+    if (n != 0) {
+        _freeNode = _nodes[n].next;
+        _nodes[n] = Node{e, next};
+    } else {
+        if (_nodes.empty())
+            _nodes.emplace_back(); // index 0 is the list end
+        n = static_cast<std::uint32_t>(_nodes.size());
+        _nodes.push_back(Node{e, next});
+    }
+    (prev == 0 ? _head[b] : _nodes[prev].next) = n;
+    _occupied[b / 64] |= 1ULL << (b % 64);
+    ++_wheelCount;
+}
+
+void
+EventQueue::pushFar(const Entry &e)
+{
+    _far.push_back(e);
+    std::push_heap(_far.begin(), _far.end(), Later{});
+}
+
+int
+EventQueue::firstBucket() const
+{
+    // The wheel holds exactly one day per bucket, so the first
+    // occupied bucket at or after the cursor's (cyclically) holds the
+    // earliest day.
+    auto start = static_cast<unsigned>(_cursor % kBuckets);
+    unsigned w = start / 64;
+    std::uint64_t bits = _occupied[w] & (~0ULL << (start % 64));
+    for (unsigned i = 0;; ++i) {
+        if (bits != 0)
+            return static_cast<int>(w * 64 + std::countr_zero(bits));
+        if (i == _occupied.size())
+            return -1;
+        w = (w + 1) % _occupied.size();
+        bits = _occupied[w];
+    }
+}
+
+bool
+EventQueue::peek(Entry &top, int &bucket) const
+{
+    bucket = _wheelCount != 0 ? firstBucket() : -1;
+    if (bucket >= 0) {
+        const Entry &e = _nodes[_head[bucket]].e;
+        if (_far.empty() || earlier(e, _far.front())) {
+            top = e;
+            return true;
+        }
+        bucket = -1;
+    }
+    if (_far.empty())
+        return false;
+    top = _far.front();
+    return true;
+}
+
+void
+EventQueue::popTop(int bucket)
+{
+    if (bucket < 0) {
+        std::pop_heap(_far.begin(), _far.end(), Later{});
+        _far.pop_back();
+        return;
+    }
+    auto b = static_cast<unsigned>(bucket);
+    std::uint32_t n = _head[b];
+    _head[b] = _nodes[n].next;
+    if (_head[b] == 0)
+        _occupied[b / 64] &= ~(1ULL << (b % 64));
+    _nodes[n].next = _freeNode;
+    _freeNode = n;
+    --_wheelCount;
+}
+
+void
+EventQueue::adaptWidth()
+{
+    // Narrow the buckets when sorted inserts walk long lists; widen
+    // them when most pushes land past the wheel's horizon.
+    unsigned shift = _shift;
+    if (_shift > 0 && _longWalks * 8 > _wheelPushes)
+        shift = _shift - 1;
+    else if (_shift < kMaxShift && _farPushes * 4 > _pushes * 3)
+        shift = _shift + 1;
+    _pushes = _farPushes = _wheelPushes = _longWalks = 0;
+    if (shift != _shift)
+        rebuild(shift);
+}
+
+void
+EventQueue::rebuild(unsigned shift)
+{
+    std::vector<Entry> all = std::move(_far);
+    _far.clear();
+    for (unsigned b = 0; b < kBuckets; ++b)
+        for (std::uint32_t n = _head[b]; n != 0; n = _nodes[n].next)
+            all.push_back(_nodes[n].e);
+    _head.fill(0);
+    _occupied.fill(0);
+    _nodes.clear();
+    _freeNode = 0;
+    _wheelCount = 0;
+    _shift = shift;
+    _cursor = _now >> _shift;
+    for (const Entry &e : all)
+        insert(e, false);
+}
+
+void
+EventQueue::retire(Slot &s)
+{
+    // Bump the generation so any entry (or EventId) still referring to
+    // the old incarnation reads as stale; 0 is reserved for invalid.
+    if (++s.gen == 0)
+        ++s.gen;
+}
+
+void
+EventQueue::setNow(Tick t)
+{
+    // The cursor follows now and nothing else: every queued entry is
+    // at or after now, so none can fall behind it.
+    _now = t;
+    _cursor = _now >> _shift;
 }
 
 void
 EventQueue::deschedule(EventId id)
 {
-    std::uint32_t slot = static_cast<std::uint32_t>(id >> 32);
-    std::uint32_t gen = static_cast<std::uint32_t>(id);
-    if (gen == 0 || slot >= _slots.size() || _slots[slot].gen != gen)
-        return; // already fired, already cancelled, or never existed
+    auto slot = static_cast<std::uint32_t>(id >> 32);
+    auto gen = static_cast<std::uint32_t>(id);
+    if (gen == 0 || slot < kFirstSlot || slot >= _slotEnd)
+        return; // never existed
+    Slot &s = slotAt(slot);
+    if (s.gen != gen)
+        return; // already fired or already cancelled
     // Eager release: captured shared_ptrs die *now*, not when the dead
-    // heap entry eventually reaches the top.
-    _slots[slot].cb.reset();
-    recycleSlot(slot);
+    // entry eventually reaches the minimum.
+    s.cb.reset();
+    retire(s);
+    _freeSlots.push_back(slot);
     --_live;
     ++_dead;
     _cancelled.inc();
@@ -39,36 +239,32 @@ EventQueue::deschedule(EventId id)
     checkOccupancyBound();
 }
 
-std::uint32_t
-EventQueue::allocSlot()
-{
-    if (!_freeSlots.empty()) {
-        std::uint32_t slot = _freeSlots.back();
-        _freeSlots.pop_back();
-        return slot;
-    }
-    TF_ASSERT(_slots.size() < (1ULL << 32), "event slot space exhausted");
-    _slots.emplace_back();
-    return static_cast<std::uint32_t>(_slots.size() - 1);
-}
-
-void
-EventQueue::recycleSlot(std::uint32_t slot)
-{
-    // Bump the generation so any Entry (or EventId) still referring to
-    // the old incarnation reads as stale; 0 is reserved for invalid.
-    if (++_slots[slot].gen == 0)
-        ++_slots[slot].gen;
-    _freeSlots.push_back(slot);
-}
-
 void
 EventQueue::maybeCompact()
 {
     if (_dead <= kCompactMinDead || _dead <= _live)
         return;
-    std::erase_if(_heap, [this](const Entry &e) { return stale(e); });
-    std::make_heap(_heap.begin(), _heap.end(), Later{});
+    auto stale = [this](const Entry &e) {
+        return slotAt(e.slot).gen != e.gen;
+    };
+    std::erase_if(_far, stale);
+    std::make_heap(_far.begin(), _far.end(), Later{});
+    for (unsigned b = 0; b < kBuckets; ++b) {
+        std::uint32_t *link = &_head[b];
+        while (*link != 0) {
+            std::uint32_t n = *link;
+            if (!stale(_nodes[n].e)) {
+                link = &_nodes[n].next;
+                continue;
+            }
+            *link = _nodes[n].next;
+            _nodes[n].next = _freeNode;
+            _freeNode = n;
+            --_wheelCount;
+        }
+        if (_head[b] == 0)
+            _occupied[b / 64] &= ~(1ULL << (b % 64));
+    }
     _dead = 0;
     _compactions.inc();
 }
@@ -77,7 +273,7 @@ void
 EventQueue::checkOccupancyBound() const
 {
     TF_ASSERT(_dead <= std::max(_live, kCompactMinDead),
-              "dead heap entries exceed the compaction bound "
+              "dead queue entries exceed the compaction bound "
               "(%zu dead, %zu live)",
               _dead, _live);
 }
@@ -87,28 +283,38 @@ std::uint64_t
 EventQueue::drain(Tick limit, Stop stop)
 {
     std::uint64_t count = 0;
-    while (!_heap.empty() && !stop(count)) {
-        if (_heap.front().when > limit)
-            break;
-        std::pop_heap(_heap.begin(), _heap.end(), Later{});
-        Entry e = _heap.back();
-        _heap.pop_back();
-        if (stale(e)) {
+    Entry e{};
+    int bucket = -1;
+    while (!stop(count) && peek(e, bucket) && e.when <= limit) {
+        popTop(bucket);
+        Slot &s = slotAt(e.slot);
+        if (s.gen != e.gen) {
             --_dead;
             continue; // cancelled; callback was freed at deschedule
         }
-        // Move the winner's callback out of its slot and retire the
-        // slot *before* invoking: the callback may schedule (growing
-        // _slots) or deschedule reentrantly.
-        Callback cb = std::move(_slots[e.slot].cb);
-        _slots[e.slot].cb.reset();
-        recycleSlot(e.slot);
+        // Retire the slot's generation before invoking, so the
+        // callback may deschedule its own (now stale) id as a no-op.
+        // The slot itself is reused only after the callback returns:
+        // it runs in place, and chunks never move, so it may schedule
+        // (growing the slot storage) or deschedule reentrantly.
+        retire(s);
         --_live;
         TF_ASSERT(e.when >= _now, "time went backwards");
-        _now = e.when;
+        setNow(e.when);
         _executed.inc();
         ++count;
-        cb();
+        struct Release
+        {
+            EventQueue &q;
+            Slot &s;
+            std::uint32_t slot;
+            ~Release()
+            {
+                s.cb.reset();
+                q._freeSlots.push_back(slot);
+            }
+        } release{*this, s, e.slot};
+        s.cb();
     }
     return count;
 }
@@ -119,7 +325,7 @@ EventQueue::run(Tick limit)
     std::uint64_t count =
         drain(limit, [](std::uint64_t) { return false; });
     if (limit != maxTick && _now < limit)
-        _now = limit;
+        setNow(limit);
     return count;
 }
 
@@ -133,21 +339,23 @@ EventQueue::runEvents(std::uint64_t maxEvents)
 Tick
 EventQueue::nextEventTick()
 {
-    while (!_heap.empty() && stale(_heap.front())) {
-        std::pop_heap(_heap.begin(), _heap.end(), Later{});
-        _heap.pop_back();
+    Entry e{};
+    int bucket = -1;
+    while (peek(e, bucket)) {
+        if (slotAt(e.slot).gen == e.gen)
+            return e.when;
+        popTop(bucket);
         --_dead;
     }
-    return _heap.empty() ? maxTick : _heap.front().when;
+    return maxTick;
 }
 
 void
 EventQueue::warp(Tick when)
 {
     TF_ASSERT(when >= _now, "warping into the past");
-    TF_ASSERT(_heap.empty() || _heap.front().when >= when,
-              "warping past scheduled events");
-    _now = when;
+    TF_ASSERT(nextEventTick() >= when, "warping past scheduled events");
+    setNow(when);
 }
 
 void

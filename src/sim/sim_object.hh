@@ -35,11 +35,11 @@ class SimObject
 
   protected:
     /** Schedule a member callback @p delay ticks from now. */
+    template <typename F>
     EventQueue::EventId
-    after(Tick delay, EventQueue::Callback cb,
-          EventPriority prio = EventPriority::Default)
+    after(Tick delay, F &&cb, EventPriority prio = EventPriority::Default)
     {
-        return _eq.scheduleIn(delay, std::move(cb), prio);
+        return _eq.scheduleIn(delay, std::forward<F>(cb), prio);
     }
 
   private:

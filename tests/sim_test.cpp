@@ -8,7 +8,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <set>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/clock_domain.hh"
@@ -120,6 +124,23 @@ TEST(EventQueue, Warp)
     eq.schedule(600, [&] { ++fired; });
     eq.run();
     EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueue, WarpPastCancelledEventOnly)
+{
+    // Only a cancelled entry lies before the target, so nothing live
+    // is skipped: warp() checks the earliest *live* event.
+    EventQueue eq;
+    auto id = eq.schedule(10, [] {});
+    eq.deschedule(id);
+    ASSERT_EQ(eq.pending(), 0u);
+    eq.warp(20);
+    EXPECT_EQ(eq.now(), 20u);
+    int fired = 0;
+    eq.scheduleIn(5, [&] { ++fired; });
+    eq.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(eq.now(), 25u);
 }
 
 TEST(ClockDomain, PrototypeFrequency)
@@ -548,6 +569,348 @@ TEST(EventQueue, AttachStatsExportsKernelCounters)
     EXPECT_EQ(executed, 1.0);
     EXPECT_EQ(cancelled, 1.0);
     EXPECT_EQ(highWater, 2.0);
+}
+
+// ---- differential kernel test: EventQueue against a std::set model ----
+
+namespace {
+
+/**
+ * Reference kernel: a std::set keyed on (when, prio, seq) with
+ * EventQueue's interface and rules, and none of its machinery.
+ */
+class RefQueue
+{
+  public:
+    using EventId = std::uint64_t;
+
+    Tick now() const { return _now; }
+    std::size_t pending() const { return _order.size(); }
+    std::uint64_t executed() const { return _executed; }
+    std::uint64_t cancelled() const { return _cancelled; }
+
+    EventId
+    schedule(Tick when, std::function<void()> cb, EventPriority prio)
+    {
+        Key key{when, static_cast<int>(prio), ++_seq};
+        _order.insert(key);
+        _pending.emplace(_seq, Pending{key, std::move(cb)});
+        return _seq;
+    }
+
+    void
+    deschedule(EventId id)
+    {
+        auto it = _pending.find(id);
+        if (it == _pending.end())
+            return;
+        _order.erase(it->second.key);
+        _pending.erase(it);
+        ++_cancelled;
+    }
+
+    std::uint64_t
+    run(Tick limit = maxTick)
+    {
+        std::uint64_t n = drain(limit, ~0ULL);
+        if (limit != maxTick && _now < limit)
+            _now = limit;
+        return n;
+    }
+
+    std::uint64_t
+    runEvents(std::uint64_t maxEvents)
+    {
+        return drain(maxTick, maxEvents);
+    }
+
+    Tick
+    nextEventTick() const
+    {
+        return _order.empty() ? maxTick : std::get<0>(*_order.begin());
+    }
+
+    void warp(Tick when) { _now = when; }
+
+  private:
+    using Key = std::tuple<Tick, int, std::uint64_t>;
+    struct Pending
+    {
+        Key key;
+        std::function<void()> cb;
+    };
+
+    std::uint64_t
+    drain(Tick limit, std::uint64_t maxEvents)
+    {
+        std::uint64_t n = 0;
+        while (n < maxEvents && !_order.empty() &&
+               std::get<0>(*_order.begin()) <= limit) {
+            Key key = *_order.begin();
+            _order.erase(_order.begin());
+            auto it = _pending.find(std::get<2>(key));
+            std::function<void()> cb = std::move(it->second.cb);
+            _pending.erase(it);
+            _now = std::get<0>(key);
+            ++_executed;
+            ++n;
+            cb();
+        }
+        return n;
+    }
+
+    std::set<Key> _order;
+    std::unordered_map<std::uint64_t, Pending> _pending; ///< by seq
+    Tick _now = 0;
+    std::uint64_t _seq = 0;
+    std::uint64_t _executed = 0;
+    std::uint64_t _cancelled = 0;
+};
+
+/** Delay shapes the kernel sees in practice (see sim_kernel). */
+enum class Shape {
+    DenseChains,    ///< 1-80 ps self-rescheduling chains
+    DatapathMix,    ///< memcached_etc's stage delays + client parks
+    LongTimers,     ///< 20 us - 0.5 ms, past any wheel horizon
+    ClockEdgeAtNow, ///< ClockEdge events at now among Default ones
+    AckChurn,       ///< every event cancels and re-arms a 20 us timer
+    Burst,          ///< one callback in 512 schedules 1100 events
+    CancelHeavy,    ///< 0-400 ns, two of three new events cancelled
+};
+
+/**
+ * A seeded random mix of schedule / deschedule / run(limit) /
+ * runEvents(n) / warp / nextEventTick calls, plus callbacks that
+ * schedule and cancel reentrantly. Every decision draws from one Rng,
+ * so two queues that execute the same order make the same calls; the
+ * log records that order and the kernel's counters after every call.
+ */
+template <typename Q>
+class Workload
+{
+  public:
+    static constexpr int kMaxLabels = 30000;
+
+    Workload(Shape shape, std::uint64_t seed)
+        : _shape(shape), _rng(seed), _runs(kMaxLabels, 0)
+    {}
+
+    std::vector<std::uint64_t>
+    drive()
+    {
+        for (int i = 0; i < 48; ++i)
+            add();
+        for (int step = 0; step < 400; ++step) {
+            switch (_rng.below(6)) {
+              case 0:
+                for (std::uint64_t k = 1 + _rng.below(8); k > 0; --k)
+                    add();
+                break;
+              case 1:
+                if (!_ids.empty())
+                    _q.deschedule(_ids[_rng.below(_ids.size())]);
+                break;
+              case 2:
+                note(_q.run(_q.now() + _rng.below(span())));
+                break;
+              case 3:
+                note(_q.runEvents(_rng.below(64)));
+                break;
+              case 4: {
+                Tick next = _q.nextEventTick();
+                Tick room = next == maxTick ? span() : next - _q.now();
+                _q.warp(_q.now() + _rng.below(room + 1));
+                break;
+              }
+              default:
+                note(_q.nextEventTick());
+                break;
+            }
+            noteState();
+        }
+        note(_q.run());
+        noteState();
+        for (int r : _runs)
+            note(static_cast<std::uint64_t>(r));
+        return _log;
+    }
+
+  private:
+    Tick
+    delay()
+    {
+        static const std::array<Tick, 7> kStage = {
+            0,
+            nanoseconds(1.28),
+            nanoseconds(6.4),
+            nanoseconds(40),
+            nanoseconds(75),
+            nanoseconds(95),
+            nanoseconds(115)};
+        switch (_shape) {
+          case Shape::DatapathMix:
+            if (_rng.chance(0.125))
+                return microseconds(60) + _rng.below(microseconds(410));
+            return kStage[_rng.below(kStage.size())];
+          case Shape::LongTimers:
+            return microseconds(20) + _rng.below(microseconds(480));
+          case Shape::ClockEdgeAtNow:
+            return _rng.below(4);
+          case Shape::CancelHeavy:
+            return _rng.below(nanoseconds(400));
+          default:
+            return 1 + _rng.below(80);
+        }
+    }
+
+    Tick
+    span() const
+    {
+        switch (_shape) {
+          case Shape::DatapathMix:
+            return microseconds(100);
+          case Shape::LongTimers:
+            return milliseconds(1);
+          case Shape::ClockEdgeAtNow:
+            return 8;
+          case Shape::CancelHeavy:
+            return nanoseconds(200);
+          default:
+            return 200;
+        }
+    }
+
+    void
+    add()
+    {
+        if (_next == kMaxLabels)
+            return;
+        EventPriority prio = EventPriority::Default;
+        Tick when = _q.now() + delay();
+        if (_shape == Shape::ClockEdgeAtNow && _rng.chance(0.5)) {
+            prio = EventPriority::ClockEdge;
+            when = _q.now();
+        }
+        schedule(when, prio);
+    }
+
+    typename Q::EventId
+    schedule(Tick when, EventPriority prio)
+    {
+        int label = _next++;
+        // The closure reads its captures again after fire(): a
+        // callable that moved while it ran (say, because fire() grew
+        // the slot storage) would show up under ASan.
+        auto id = _q.schedule(
+            when,
+            [this, label] {
+                fire(label);
+                ++_runs[label];
+            },
+            prio);
+        _ids.push_back(id);
+        return id;
+    }
+
+    void
+    fire(int label)
+    {
+        note(static_cast<std::uint64_t>(label));
+        note(_q.now());
+        if (_shape == Shape::AckChurn && _next < kMaxLabels) {
+            _q.deschedule(_timer);
+            _timer = schedule(_q.now() + microseconds(20),
+                              EventPriority::Default);
+        }
+        if (_shape == Shape::Burst && label % 512 == 0)
+            for (int i = 0; i < 1100; ++i)
+                add();
+        if (_shape == Shape::CancelHeavy) {
+            // Dead entries spread over many buckets, so compaction
+            // empties some of them.
+            for (int i = 0; i < 2; ++i) {
+                add();
+                _q.deschedule(_ids.back());
+            }
+        }
+        add();
+        if (_rng.chance(0.1))
+            add();
+        if (_rng.chance(0.05) && !_ids.empty())
+            _q.deschedule(_ids[_rng.below(_ids.size())]);
+    }
+
+    void note(std::uint64_t v) { _log.push_back(v); }
+
+    void
+    noteState()
+    {
+        note(_q.now());
+        note(_q.executed());
+        note(_q.cancelled());
+        note(_q.pending());
+    }
+
+    Shape _shape;
+    Rng _rng;
+    Q _q;
+    int _next = 0;
+    typename Q::EventId _timer = 0;
+    std::vector<typename Q::EventId> _ids;
+    std::vector<int> _runs;
+    std::vector<std::uint64_t> _log;
+};
+
+void
+expectMatchesReference(Shape shape)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        auto real = Workload<EventQueue>(shape, seed).drive();
+        auto ref = Workload<RefQueue>(shape, seed).drive();
+        auto [a, b] = std::mismatch(real.begin(), real.end(),
+                                    ref.begin(), ref.end());
+        EXPECT_TRUE(a == real.end() && b == ref.end())
+            << "seed " << seed << ": logs diverge at entry "
+            << (a - real.begin()) << " of " << real.size() << "/"
+            << ref.size();
+    }
+}
+
+} // namespace
+
+TEST(EventQueueDifferential, DenseChains)
+{
+    expectMatchesReference(Shape::DenseChains);
+}
+
+TEST(EventQueueDifferential, DatapathMix)
+{
+    expectMatchesReference(Shape::DatapathMix);
+}
+
+TEST(EventQueueDifferential, LongTimers)
+{
+    expectMatchesReference(Shape::LongTimers);
+}
+
+TEST(EventQueueDifferential, ClockEdgeAtNow)
+{
+    expectMatchesReference(Shape::ClockEdgeAtNow);
+}
+
+TEST(EventQueueDifferential, AckChurn)
+{
+    expectMatchesReference(Shape::AckChurn);
+}
+
+TEST(EventQueueDifferential, CallbackSchedulesOver1000)
+{
+    expectMatchesReference(Shape::Burst);
+}
+
+TEST(EventQueueDifferential, CancelHeavy)
+{
+    expectMatchesReference(Shape::CancelHeavy);
 }
 
 // ---- SmallFn (the kernel's small-buffer callback type) ----
