@@ -393,13 +393,14 @@ protoC1Point(ScenarioContext &sub, std::uint32_t bytes, int total)
     ocapi::Pasid pasid = pasids.allocate();
     pasids.registerRegion(pasid, 0, 1ULL << 30);
     int done = 0;
+    c1.connect([&done](mem::TxnPtr) { ++done; });
     for (int i = 0; i < total; ++i) {
         auto txn = mem::makeTxn(
             mem::TxnType::WriteReq,
             (static_cast<mem::Addr>(i) * bytes) % (1ULL << 30),
             bytes);
         txn->data.assign(bytes, 0);
-        c1.master(pasid, txn, [&done](mem::TxnPtr) { ++done; });
+        c1.master(pasid, txn);
     }
     eq.run();
     double gib = static_cast<double>(total) * bytes /

@@ -67,22 +67,25 @@ Dram::estimatedLatency(std::uint32_t bytes) const
 void
 Dram::complete(TxnPtr txn, DoneFn done, sim::Tick finish)
 {
-    after(finish - now(),
-          [this, txn = std::move(txn), done = std::move(done)]() mutable {
-              if (_store) {
-                  if (txn->type == TxnType::WriteReq) {
-                      if (!txn->data.empty())
-                          _store->write(txn->addr, txn->data.data(),
-                                        std::min<std::uint64_t>(
-                                            txn->data.size(), txn->size));
-                  } else {
-                      txn->data.resize(txn->size);
-                      _store->read(txn->addr, txn->data.data(), txn->size);
-                  }
-              }
-              txn->makeResponse();
-              done(std::move(txn));
-          });
+    auto hop = [this, txn = std::move(txn),
+                done = std::move(done)]() mutable {
+        if (_store) {
+            if (txn->type == TxnType::WriteReq) {
+                if (!txn->data.empty())
+                    _store->write(txn->addr, txn->data.data(),
+                                  std::min<std::uint64_t>(
+                                      txn->data.size(), txn->size));
+            } else {
+                txn->data.resize(txn->size);
+                _store->read(txn->addr, txn->data.data(), txn->size);
+            }
+        }
+        txn->makeResponse();
+        done(std::move(txn));
+    };
+    static_assert(sim::EventCallback::fitsInline<decltype(hop)>(),
+                  "the DRAM completion hop must stay an inline event");
+    after(finish - now(), std::move(hop));
 }
 
 void

@@ -21,7 +21,6 @@
 #define TF_MEM_DRAM_HH
 
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "mem/backing_store.hh"
@@ -68,7 +67,12 @@ struct DramParams
 class Dram : public sim::SimObject
 {
   public:
-    using DoneFn = std::function<void(TxnPtr)>;
+    /**
+     * Access continuation. 32 bytes inline: with the object pointer
+     * and the transaction handle, complete()'s event closure then
+     * fills sim::EventCallback's 64 bytes exactly.
+     */
+    using DoneFn = sim::InlineFn<void(TxnPtr), 32>;
 
     Dram(std::string name, sim::EventQueue &eq, DramParams params,
          BackingStore *store = nullptr);

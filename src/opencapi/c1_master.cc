@@ -14,9 +14,11 @@ C1Master::C1Master(std::string name, sim::EventQueue &eq, C1Params params,
 }
 
 void
-C1Master::master(Pasid pasid, mem::TxnPtr txn, DoneFn done)
+C1Master::master(Pasid pasid, mem::TxnPtr txn)
 {
     TF_ASSERT(mem::isRequest(txn->type), "C1 master got a response");
+    TF_ASSERT(_out != nullptr, "%s: C1 master not connected",
+              name().c_str());
 
     eventQueue().trace().begin(now(), txn->traceId,
                                sim::trace::Stage::C1);
@@ -30,7 +32,7 @@ C1Master::master(Pasid pasid, mem::TxnPtr txn, DoneFn done)
         txn->error = true;
         eventQueue().trace().end(now(), txn->traceId,
                                  sim::trace::Stage::C1);
-        done(std::move(txn));
+        _out(std::move(txn));
         return;
     }
 
@@ -45,17 +47,15 @@ C1Master::master(Pasid pasid, mem::TxnPtr txn, DoneFn done)
 
     sim::Tick accepted = now();
     after(_nextFree - now(),
-          [this, txn = std::move(txn), done = std::move(done),
-           accepted]() mutable {
+          [this, txn = std::move(txn), accepted]() mutable {
               _dram.access(std::move(txn),
-                           [this, done = std::move(done),
-                            accepted](mem::TxnPtr resp) {
+                           [this, accepted](mem::TxnPtr resp) {
                                _serviceNs.add(
                                    sim::toNs(now() - accepted));
                                eventQueue().trace().end(
                                    now(), resp->traceId,
                                    sim::trace::Stage::C1);
-                               done(std::move(resp));
+                               _out(std::move(resp));
                            });
           });
 }

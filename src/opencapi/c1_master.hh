@@ -39,19 +39,22 @@ struct C1Params
 class C1Master : public sim::SimObject
 {
   public:
-    using DoneFn = std::function<void(mem::TxnPtr)>;
+    using OutFn = std::function<void(mem::TxnPtr)>;
 
     C1Master(std::string name, sim::EventQueue &eq, C1Params params,
              PasidRegistry &pasids, mem::Dram &hostDram);
 
+    /** Connect the consumer of every completed (response) transaction. */
+    void connect(OutFn out) { _out = std::move(out); }
+
     /**
-     * Master a transaction into host memory under @p pasid.
-     * The transaction's address is a host effective address; it must
-     * fall inside a region registered for the pasid, otherwise the
-     * access faults (response flagged via @p done with no data and the
-     * fault counter bumped).
+     * Master a transaction into host memory under @p pasid; its
+     * response goes to the connected consumer. The transaction's
+     * address is a host effective address; it must fall inside a
+     * region registered for the pasid, otherwise the access faults
+     * (response flagged with no data and the fault counter bumped).
      */
-    void master(Pasid pasid, mem::TxnPtr txn, DoneFn done);
+    void master(Pasid pasid, mem::TxnPtr txn);
 
     std::uint64_t faults() const { return _faults.value(); }
     std::uint64_t transactions() const { return _txns.value(); }
@@ -67,6 +70,7 @@ class C1Master : public sim::SimObject
     C1Params _params;
     PasidRegistry &_pasids;
     mem::Dram &_dram;
+    OutFn _out;
     sim::Tick _nextFree = 0;
     sim::Counter _txns;
     sim::Counter _faults;

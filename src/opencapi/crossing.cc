@@ -12,22 +12,16 @@ CrossingStage::CrossingStage(std::string name, sim::EventQueue &eq,
 {
 }
 
-std::uint32_t
-CrossingStage::wireBytes(const mem::MemTxn &txn)
-{
-    return mem::flitCount(txn) * 32;
-}
-
 void
 CrossingStage::push(mem::TxnPtr txn)
 {
     TF_ASSERT(_out != nullptr, "%s: crossing stage not connected",
               name().c_str());
 
+    std::uint32_t bytes = wireBytes(*txn);
     sim::Tick ser = 0;
     if (_params.bandwidthBps > 0) {
-        double secs = static_cast<double>(wireBytes(*txn)) /
-                      _params.bandwidthBps;
+        double secs = static_cast<double>(bytes) / _params.bandwidthBps;
         ser = sim::seconds(secs);
     }
     sim::Tick start = std::max(now(), _nextFree);
@@ -35,7 +29,7 @@ CrossingStage::push(mem::TxnPtr txn)
     sim::Tick deliver = start + ser + _params.latency;
 
     _items.inc();
-    _bytes.inc(wireBytes(*txn));
+    _bytes.inc(bytes);
     _latencyNs.add(sim::toNs(deliver - now()));
     if (_traceStage != sim::trace::Stage::None &&
         txn->traceId != sim::trace::noTrace) {

@@ -55,7 +55,11 @@ class CrossingStage : public sim::SimObject
     void push(mem::TxnPtr txn);
 
     /** Bytes this stage charges for a transaction (header + payload). */
-    static std::uint32_t wireBytes(const mem::MemTxn &txn);
+    static constexpr std::uint32_t
+    wireBytes(const mem::MemTxn &txn)
+    {
+        return mem::flitCount(txn) * 32;
+    }
 
     std::uint64_t itemsForwarded() const { return _items.value(); }
     std::uint64_t bytesForwarded() const { return _bytes.value(); }

@@ -1,20 +1,24 @@
 /**
  * @file
- * Small-buffer callback type for the event kernel's hot path.
+ * Small-buffer callback types for the simulator's hot paths.
  *
- * Every scheduled event carries a closure. With std::function the
- * typical simulation capture (an object pointer plus a shared payload
- * and a tick or epoch) exceeds the library's tiny inline buffer and
- * costs one heap allocation per event — millions per benchmark run.
- * SmallFn widens the inline buffer so every kernel closure in this
- * codebase stays allocation-free, and keeps a heap fallback so
- * oversized captures (app-level request closures) still work.
+ * Every scheduled event carries a closure, and every remote memory
+ * transaction carries a completion. With std::function the typical
+ * simulation capture (an object pointer plus a shared payload and a
+ * tick or epoch) exceeds the library's tiny inline buffer and costs
+ * one heap allocation per event or transaction — millions per
+ * benchmark run. InlineFn widens the inline buffer so those closures
+ * stay allocation-free, and keeps a heap fallback so oversized
+ * captures (app-level request closures) still work.
  *
- * Semantics: move-only, nullable, void() signature. Move-only is
- * deliberate — a scheduled closure has exactly one owner (the event
- * slot), and copyability would force captured types to be copyable.
- * Callables must be nothrow-move-constructible to live inline; others
- * fall back to the heap.
+ * Semantics: move-only and nullable, for any signature. Move-only is
+ * deliberate — a scheduled closure or a completion has exactly one
+ * owner (the event slot, the transaction), and copyability would
+ * force captured types to be copyable. Callables must be
+ * nothrow-move-constructible to live inline; others fall back to the
+ * heap. An InlineFn captured by another InlineFn of the same size can
+ * never fit inline, so continuations chain through connected sinks
+ * instead of wrapping each other.
  */
 
 #ifndef TF_SIM_CALLBACK_HH
@@ -27,28 +31,33 @@
 
 namespace tf::sim {
 
-/** Move-only `void()` callable with @p Bytes of inline storage. */
-template <std::size_t Bytes>
-class SmallFn
-{
-  public:
-    SmallFn() noexcept = default;
-    SmallFn(std::nullptr_t) noexcept {}
+template <typename Sig, std::size_t Bytes>
+class InlineFn;
 
-    template <typename F,
-              typename D = std::decay_t<F>,
-              typename = std::enable_if_t<
-                  !std::is_same_v<D, SmallFn> &&
-                  std::is_invocable_r_v<void, D &>>>
-    SmallFn(F &&f)
+/** Move-only `R(Args...)` callable with @p Bytes of inline storage. */
+template <typename R, typename... Args, std::size_t Bytes>
+class InlineFn<R(Args...), Bytes>
+{
+    template <typename D>
+    static constexpr bool accepts =
+        !std::is_same_v<D, InlineFn> &&
+        std::is_invocable_r_v<R, D &, Args...>;
+
+  public:
+    InlineFn() noexcept = default;
+    InlineFn(std::nullptr_t) noexcept {}
+
+    template <typename F, typename D = std::decay_t<F>,
+              typename = std::enable_if_t<accepts<D>>>
+    InlineFn(F &&f)
     {
         construct<D>(std::forward<F>(f));
     }
 
-    SmallFn(SmallFn &&other) noexcept { moveFrom(other); }
+    InlineFn(InlineFn &&other) noexcept { moveFrom(other); }
 
-    SmallFn &
-    operator=(SmallFn &&other) noexcept
+    InlineFn &
+    operator=(InlineFn &&other) noexcept
     {
         if (this != &other) {
             reset();
@@ -57,30 +66,40 @@ class SmallFn
         return *this;
     }
 
-    SmallFn &
+    InlineFn &
     operator=(std::nullptr_t) noexcept
     {
         reset();
         return *this;
     }
 
-    SmallFn(const SmallFn &) = delete;
-    SmallFn &operator=(const SmallFn &) = delete;
+    /** Assign a callable, built in place (see emplace()). */
+    template <typename F, typename D = std::decay_t<F>,
+              typename = std::enable_if_t<accepts<D>>>
+    InlineFn &
+    operator=(F &&f)
+    {
+        emplace(std::forward<F>(f));
+        return *this;
+    }
 
-    ~SmallFn() { reset(); }
+    InlineFn(const InlineFn &) = delete;
+    InlineFn &operator=(const InlineFn &) = delete;
+
+    ~InlineFn() { reset(); }
 
     explicit operator bool() const noexcept { return _ops != nullptr; }
 
-    void
-    operator()()
+    R
+    operator()(Args... args)
     {
-        _ops->invoke(_buf);
+        return _ops->invoke(_buf, std::forward<Args>(args)...);
     }
 
     /**
      * Replace the held callable with @p f, built directly in this
-     * object's storage: no temporary SmallFn and no relocation. An
-     * rvalue SmallFn is moved in as usual.
+     * object's storage: no temporary InlineFn and no relocation. An
+     * rvalue InlineFn is moved in as usual.
      */
     template <typename F>
     void
@@ -88,13 +107,13 @@ class SmallFn
     {
         using D = std::decay_t<F>;
         reset();
-        if constexpr (std::is_same_v<D, SmallFn>) {
+        if constexpr (std::is_same_v<D, InlineFn>) {
             static_assert(!std::is_lvalue_reference_v<F>,
-                          "SmallFn is move-only");
+                          "InlineFn is move-only");
             moveFrom(f);
         } else {
-            static_assert(std::is_invocable_r_v<void, D &>,
-                          "callable must be invocable as void()");
+            static_assert(std::is_invocable_r_v<R, D &, Args...>,
+                          "callable does not match the signature");
             construct<D>(std::forward<F>(f));
         }
     }
@@ -109,15 +128,7 @@ class SmallFn
         }
     }
 
-  private:
-    struct Ops
-    {
-        void (*invoke)(void *buf);
-        /** Move the callable from src's buffer into dst's, destroy src. */
-        void (*relocate)(void *src, void *dst) noexcept;
-        void (*destroy)(void *buf) noexcept;
-    };
-
+    /** True when a callable of type @p D is held without the heap. */
     template <typename D>
     static constexpr bool
     fitsInline()
@@ -127,9 +138,21 @@ class SmallFn
                std::is_nothrow_move_constructible_v<D>;
     }
 
+  private:
+    struct Ops
+    {
+        R (*invoke)(void *buf, Args &&...args);
+        /** Move the callable from src's buffer into dst's, destroy src. */
+        void (*relocate)(void *src, void *dst) noexcept;
+        void (*destroy)(void *buf) noexcept;
+    };
+
     template <typename D>
     static constexpr Ops inlineOps = {
-        [](void *buf) { (*std::launder(reinterpret_cast<D *>(buf)))(); },
+        [](void *buf, Args &&...args) -> R {
+            return (*std::launder(reinterpret_cast<D *>(buf)))(
+                std::forward<Args>(args)...);
+        },
         [](void *src, void *dst) noexcept {
             D *from = std::launder(reinterpret_cast<D *>(src));
             ::new (dst) D(std::move(*from));
@@ -142,7 +165,10 @@ class SmallFn
 
     template <typename D>
     static constexpr Ops heapOps = {
-        [](void *buf) { (**reinterpret_cast<D **>(buf))(); },
+        [](void *buf, Args &&...args) -> R {
+            return (**reinterpret_cast<D **>(buf))(
+                std::forward<Args>(args)...);
+        },
         [](void *src, void *dst) noexcept {
             *reinterpret_cast<D **>(dst) = *reinterpret_cast<D **>(src);
         },
@@ -163,7 +189,7 @@ class SmallFn
     }
 
     void
-    moveFrom(SmallFn &other) noexcept
+    moveFrom(InlineFn &other) noexcept
     {
         if (other._ops) {
             other._ops->relocate(other._buf, _buf);
@@ -176,25 +202,22 @@ class SmallFn
     const Ops *_ops = nullptr;
 };
 
-template <std::size_t Bytes>
+template <typename Sig, std::size_t Bytes>
 inline bool
-operator==(const SmallFn<Bytes> &f, std::nullptr_t) noexcept
+operator==(const InlineFn<Sig, Bytes> &f, std::nullptr_t) noexcept
 {
     return !static_cast<bool>(f);
 }
 
+/** Move-only `void()` callable with @p Bytes of inline storage. */
 template <std::size_t Bytes>
-inline bool
-operator!=(const SmallFn<Bytes> &f, std::nullptr_t) noexcept
-{
-    return static_cast<bool>(f);
-}
+using SmallFn = InlineFn<void(), Bytes>;
 
 /**
  * The kernel's event closure type. 64 bytes of inline storage covers
- * every closure the simulation layers schedule today (largest: the C1
- * master's completion hop — an object pointer, a transaction, a
- * std::function continuation and a tick).
+ * every closure the simulation layers schedule today (largest: the
+ * DRAM completion hop — an object pointer, a transaction handle and
+ * a 48-byte Dram::DoneFn continuation).
  */
 using EventCallback = SmallFn<64>;
 

@@ -69,20 +69,11 @@ Node::issue(mem::TxnPtr txn)
         _datapath->compute().window().contains(txn->addr, txn->size)) {
         _remoteAccesses.inc();
         // The compute endpoint rewrites txn->addr on the way down, so
-        // capture the host-real address now: an error completion
+        // record the host-real address now: an error completion
         // (dead path, deadline) poisons the backing frame, and the
         // next touch of the page re-faults it off the dead memory.
-        mem::Addr realAddr = txn->addr;
-        auto inner = std::move(txn->onComplete);
-        txn->onComplete = [this, realAddr,
-                           inner = std::move(inner)](mem::MemTxn &t) {
-            if (t.error) {
-                _remoteErrors.inc();
-                _mm->poisonPage(realAddr);
-            }
-            if (inner)
-                inner(t);
-        };
+        txn->hostAddr = txn->addr;
+        txn->errorSink = this;
         if (_pageCache != nullptr)
             _pageCache->access(std::move(txn));
         else
@@ -91,6 +82,13 @@ Node::issue(mem::TxnPtr txn)
     }
     _localAccesses.inc();
     _dram->access(std::move(txn), [](mem::TxnPtr t) { t->complete(); });
+}
+
+void
+Node::txnFailed(const mem::MemTxn &txn)
+{
+    _remoteErrors.inc();
+    _mm->poisonPage(txn.hostAddr);
 }
 
 } // namespace tf::sys

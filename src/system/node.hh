@@ -37,7 +37,7 @@ struct NodeParams
     std::string agentToken = "cp-secret";
 };
 
-class Node
+class Node : private mem::ErrorSink
 {
   public:
     Node(std::string name, sim::EventQueue &eq, NodeParams params);
@@ -103,6 +103,9 @@ class Node
     sim::Counter _localAccesses;
     sim::Counter _remoteAccesses;
     sim::Counter _remoteErrors;
+
+    /** A remote access error-completed: poison its host page. */
+    void txnFailed(const mem::MemTxn &txn) override;
 };
 
 } // namespace tf::sys

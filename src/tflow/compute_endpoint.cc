@@ -6,6 +6,29 @@
 
 namespace tf::flow {
 
+namespace {
+
+/**
+ * Error-complete an in-flight request at the host. The original
+ * object may still be live inside the LLC buffers or the donor
+ * pipeline: frames carry the very same object, so flipping it to a
+ * response here would corrupt in-flight mastering. A clone takes over
+ * the completion instead; whatever happens to the original later is
+ * swallowed by the tag check in finish().
+ */
+void
+completeClone(mem::MemTxn &txn, mem::TxnStatus status)
+{
+    mem::TxnPtr resp = mem::cloneForCompletion(txn);
+    if (mem::isRequest(resp->type))
+        resp->makeResponse();
+    resp->error = true;
+    resp->status = status;
+    resp->complete();
+}
+
+} // namespace
+
 ComputeEndpoint::ComputeEndpoint(std::string name, sim::EventQueue &eq,
                                  const FlowParams &params,
                                  ocapi::M1Window window,
@@ -34,6 +57,11 @@ ComputeEndpoint::ComputeEndpoint(std::string name, sim::EventQueue &eq,
         [this](mem::TxnPtr txn) { _hostSerdesUp.push(std::move(txn)); });
     _hostSerdesUp.connect(
         [this](mem::TxnPtr txn) { finish(std::move(txn)); });
+
+    _tags.resize(params.maxTags);
+    _freeTags.reserve(params.maxTags);
+    for (std::uint32_t tag = params.maxTags; tag > 0; --tag)
+        _freeTags.push_back(tag - 1);
 }
 
 void
@@ -55,7 +83,7 @@ ComputeEndpoint::issue(mem::TxnPtr txn)
     txn->traceId = tb.newTrace();
     tb.begin(now(), txn->traceId, sim::trace::Stage::TagQueue,
              static_cast<std::uint32_t>(_waitQueue.size()));
-    if (_outstanding.size() >= _params.maxTags) {
+    if (_freeTags.empty()) {
         _tagStalls.inc();
         _waitQueue.push_back(std::move(txn));
         return;
@@ -67,7 +95,9 @@ void
 ComputeEndpoint::admit(mem::TxnPtr txn)
 {
     _issued.inc();
-    _outstanding[txn->id] = txn;
+    txn->tag = _freeTags.back();
+    _freeTags.pop_back();
+    _tags[txn->tag] = txn;
     eventQueue().trace().end(now(), txn->traceId,
                              sim::trace::Stage::TagQueue);
     _hostSerdesDown.push(std::move(txn));
@@ -133,41 +163,35 @@ ComputeEndpoint::reroute(mem::TxnPtr txn)
     _channelTx[static_cast<std::size_t>(ch)]->enqueue(std::move(txn));
 }
 
-std::size_t
-ComputeEndpoint::abortOutstanding(mem::NetworkId id)
+template <typename Pred>
+std::vector<mem::TxnPtr>
+ComputeEndpoint::takeOutstanding(Pred doomed)
 {
-    std::vector<mem::TxnPtr> doomed;
-    for (auto it = _outstanding.begin(); it != _outstanding.end();) {
-        if (it->second && it->second->networkId == id) {
-            doomed.push_back(std::move(it->second));
-            it = _outstanding.erase(it);
-        } else {
-            ++it;
+    std::vector<mem::TxnPtr> out;
+    for (std::uint32_t tag = 0; tag < _tags.size(); ++tag) {
+        if (_tags[tag] && doomed(*_tags[tag])) {
+            out.push_back(std::move(_tags[tag]));
+            _freeTags.push_back(tag);
         }
     }
-    // Map order is hash-order (and the keys are process-global ids,
-    // so even the hash layout varies run to run); complete oldest-
-    // first like the deadline sweep so downstream reissue order is
-    // deterministic.
-    std::sort(doomed.begin(), doomed.end(),
+    // Complete oldest-first, so downstream effects (closed-loop
+    // reissues) do not depend on which tags the requests held.
+    std::sort(out.begin(), out.end(),
               [](const mem::TxnPtr &a, const mem::TxnPtr &b) {
                   return a->id < b->id;
               });
+    return out;
+}
+
+std::size_t
+ComputeEndpoint::abortOutstanding(mem::NetworkId id)
+{
+    std::vector<mem::TxnPtr> doomed = takeOutstanding(
+        [id](const mem::MemTxn &txn) { return txn.networkId == id; });
     for (auto &txn : doomed) {
-        // The aborted transaction may still be live inside the LLC
-        // buffers or the donor pipeline: frames carry the very same
-        // object, so flipping it to a response here would corrupt
-        // in-flight mastering. Complete the host with an error-
-        // response clone instead; whatever happens to the original
-        // later is swallowed by the duplicate filter in finish().
-        auto resp = std::make_shared<mem::MemTxn>(*txn);
-        txn->onComplete = nullptr;
-        if (mem::isRequest(resp->type))
-            resp->makeResponse();
-        resp->error = true;
         _aborted.inc();
         _completed.inc();
-        resp->complete();
+        completeClone(*txn, mem::TxnStatus::Error);
     }
 
     drainWaitQueue();
@@ -177,7 +201,7 @@ ComputeEndpoint::abortOutstanding(mem::NetworkId id)
 void
 ComputeEndpoint::drainWaitQueue()
 {
-    while (!_waitQueue.empty() && _outstanding.size() < _params.maxTags) {
+    while (!_waitQueue.empty() && !_freeTags.empty()) {
         mem::TxnPtr next = std::move(_waitQueue.front());
         _waitQueue.pop_front();
         admit(std::move(next));
@@ -203,31 +227,14 @@ ComputeEndpoint::onDeadlineSweep()
     // Overdue in-flight requests: their response path is dead or
     // crawling. Same clone-completion discipline as abortOutstanding —
     // the original object may still be mastering inside a frame.
-    std::vector<mem::TxnPtr> doomed;
-    for (auto it = _outstanding.begin(); it != _outstanding.end();) {
-        if (it->second && now() - it->second->issued >= deadline) {
-            doomed.push_back(std::move(it->second));
-            it = _outstanding.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    // Map order is hash-order; complete oldest-first so downstream
-    // effects (closed-loop reissues) are platform-independent.
-    std::sort(doomed.begin(), doomed.end(),
-              [](const mem::TxnPtr &a, const mem::TxnPtr &b) {
-                  return a->id < b->id;
-              });
+    std::vector<mem::TxnPtr> doomed =
+        takeOutstanding([this, deadline](const mem::MemTxn &txn) {
+            return now() - txn.issued >= deadline;
+        });
     for (auto &txn : doomed) {
-        auto resp = std::make_shared<mem::MemTxn>(*txn);
-        txn->onComplete = nullptr;
-        if (mem::isRequest(resp->type))
-            resp->makeResponse();
-        resp->error = true;
-        resp->status = mem::TxnStatus::TimedOut;
         _deadlineExpired.inc();
         _completed.inc();
-        resp->complete();
+        completeClone(*txn, mem::TxnStatus::TimedOut);
     }
 
     // Overdue tag-queued requests never entered the pipeline, so they
@@ -252,24 +259,26 @@ ComputeEndpoint::onDeadlineSweep()
     }
 
     drainWaitQueue();
-    if (!_outstanding.empty() || !_waitQueue.empty())
+    if (outstanding() != 0 || !_waitQueue.empty())
         armDeadlineSweep();
 }
 
 void
 ComputeEndpoint::finish(mem::TxnPtr txn)
 {
-    auto it = _outstanding.find(txn->id);
-    if (it == _outstanding.end()) {
+    std::uint32_t tag = txn->tag;
+    if (tag >= _tags.size() || _tags[tag] != txn) {
         // Duplicate from at-least-once failover (the original delivery
         // succeeded but its response or ack died with a link), or a
-        // late response for a transaction abortOutstanding() already
-        // error-completed. Either way the host saw exactly one
+        // late response for a transaction abortOutstanding() or the
+        // deadline sweep already error-completed; its tag may already
+        // serve a newer request. Either way the host saw exactly one
         // completion; drop the duplicate.
         _dupResponses.inc();
         return;
     }
-    _outstanding.erase(it);
+    _tags[tag].reset();
+    _freeTags.push_back(tag);
     _completed.inc();
     _rttNs.add(sim::toNs(now() - txn->issued));
     txn->complete();

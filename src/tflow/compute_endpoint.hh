@@ -11,14 +11,16 @@
  * complete the host transaction.
  *
  * The endpoint supports a bounded number of outstanding transactions
- * (OpenCAPI tags); excess requests queue at the host interface.
+ * (OpenCAPI tags); excess requests queue at the host interface. Each
+ * admitted request holds one slot of the tag table, and its response
+ * completes the host transaction only if that slot still holds the
+ * very same object: anything else is a duplicate.
  */
 
 #ifndef TF_FLOW_COMPUTE_ENDPOINT_HH
 #define TF_FLOW_COMPUTE_ENDPOINT_HH
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "opencapi/crossing.hh"
@@ -74,7 +76,10 @@ class ComputeEndpoint : public sim::SimObject
     RoutingLayer &routing() { return _routing; }
     const ocapi::M1Window &window() const { return _window; }
 
-    std::size_t outstanding() const { return _outstanding.size(); }
+    std::size_t outstanding() const
+    {
+        return _tags.size() - _freeTags.size();
+    }
     std::size_t queued() const { return _waitQueue.size(); }
 
     std::uint64_t issued() const { return _issued.value(); }
@@ -121,9 +126,14 @@ class ComputeEndpoint : public sim::SimObject
 
     std::vector<LlcTx *> _channelTx;
     std::deque<mem::TxnPtr> _waitQueue;
-    /** In-flight requests by id; the value keeps the txn reachable for
-     *  abortOutstanding() when its response path has died. */
-    std::unordered_map<std::uint64_t, mem::TxnPtr> _outstanding;
+    /**
+     * Tag table: the in-flight request holding each OpenCAPI tag, or
+     * null. The slot keeps the transaction reachable for
+     * abortOutstanding() when its response path has died.
+     */
+    std::vector<mem::TxnPtr> _tags;
+    /** Unheld tags, reused last-freed first. */
+    std::vector<std::uint32_t> _freeTags;
 
     sim::Counter _issued;
     sim::Counter _completed;
@@ -147,6 +157,10 @@ class ComputeEndpoint : public sim::SimObject
         sim::EventQueue::invalidEvent;
 
     void admit(mem::TxnPtr txn);
+    /** Free the tags of in-flight requests matching @p doomed, and
+     *  return those requests oldest (lowest id) first. */
+    template <typename Pred>
+    std::vector<mem::TxnPtr> takeOutstanding(Pred doomed);
     void routeAndSend(mem::TxnPtr txn);
     void finish(mem::TxnPtr txn);
     void failFast(mem::TxnPtr txn);

@@ -12,8 +12,9 @@
 #ifndef TF_FLOW_FRAME_HH
 #define TF_FLOW_FRAME_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "mem/transaction.hh"
@@ -36,8 +37,6 @@ struct Frame
     bool replayed = false;
 };
 
-using FramePtr = std::shared_ptr<Frame>;
-
 /**
  * Flits a transaction occupies in a coalesced (cut-through) frame:
  * payload flits only for data-bearing transactions — their
@@ -45,7 +44,7 @@ using FramePtr = std::shared_ptr<Frame>;
  * flit's slot table — while payload-less transactions (read
  * requests, write acks) still pay their single header flit.
  */
-inline std::uint32_t
+constexpr std::uint32_t
 coalescedFlitCount(const mem::MemTxn &txn)
 {
     std::uint32_t flits = mem::flitCount(txn);
@@ -53,75 +52,170 @@ coalescedFlitCount(const mem::MemTxn &txn)
 }
 
 /**
+ * Counted handle to a pooled Frame. Frames never leave the LP of the
+ * LlcTx that assembled them, so the count is not atomic. The last
+ * handle to go hands the frame back to its pool.
+ */
+class FramePtr
+{
+  public:
+    FramePtr() noexcept = default;
+
+    FramePtr(const FramePtr &other) noexcept : _slot(other._slot)
+    {
+        if (_slot != nullptr)
+            ++_slot->refs;
+    }
+
+    FramePtr(FramePtr &&other) noexcept
+        : _slot(std::exchange(other._slot, nullptr))
+    {
+    }
+
+    FramePtr &
+    operator=(FramePtr other) noexcept
+    {
+        std::swap(_slot, other._slot);
+        return *this;
+    }
+
+    ~FramePtr() { reset(); }
+
+    /** Drop this handle's reference. */
+    void reset() noexcept;
+
+    Frame *get() const noexcept { return _slot ? &_slot->frame : nullptr; }
+    Frame &operator*() const noexcept { return _slot->frame; }
+    Frame *operator->() const noexcept { return &_slot->frame; }
+    explicit operator bool() const noexcept { return _slot != nullptr; }
+
+  private:
+    friend class FramePool;
+
+    struct Core;
+
+    /** A pooled frame plus its handle count and owning pool. */
+    struct Slot
+    {
+        Frame frame;
+        std::uint32_t refs = 0;
+        Core *core = nullptr;
+    };
+
+    /** Freelist shared by a pool and its outstanding frames. */
+    struct Core
+    {
+        std::vector<Slot *> free;
+        /** Frames handed out and not yet released. */
+        std::size_t live = 0;
+        /** Frames taken from the heap rather than the freelist. */
+        std::uint64_t heapAllocations = 0;
+        /** The pool died; the last live frame frees the core. */
+        bool orphaned = false;
+    };
+
+    explicit FramePtr(Slot *slot) noexcept : _slot(slot) { ++_slot->refs; }
+
+    static void release(Slot *slot) noexcept;
+
+    Slot *_slot = nullptr;
+};
+
+/**
  * Freelist pool for Frame objects.
  *
- * Every wire transmission allocates a Frame (and its txns vector); at
- * datapath rates that is hundreds of thousands of shared_ptr
- * allocations per simulated millisecond. The pool recycles the Frame
- * *object* — most importantly the txns vector's capacity — through a
- * freelist.
+ * Every wire transmission allocates a Frame (and its txns vector). The
+ * pool recycles the Frame *object* — most importantly the txns
+ * vector's capacity — through a freelist, and FramePtr counts handles
+ * inside the pooled slot, so a frame costs no allocation at all in
+ * steady state.
  *
  * Lifetime: frames routinely outlive their LlcTx (deliveries already
  * scheduled in the event queue when a channel is torn down), so the
- * recycling deleter holds shared ownership of the freelist core; the
- * last outstanding frame keeps it alive.
+ * freelist core outlives the pool until the last outstanding frame
+ * is released.
  */
 class FramePool
 {
   public:
-    FramePool() : _core(std::make_shared<Core>()) {}
+    FramePool() : _core(new FramePtr::Core) {}
+
+    FramePool(const FramePool &) = delete;
+    FramePool &operator=(const FramePool &) = delete;
+
+    ~FramePool()
+    {
+        for (FramePtr::Slot *slot : _core->free)
+            delete slot;
+        _core->free.clear();
+        if (_core->live == 0)
+            delete _core;
+        else
+            _core->orphaned = true;
+    }
 
     /** A fresh (default-state) pooled frame. */
     FramePtr
     acquire()
     {
-        Frame *f;
+        FramePtr::Slot *slot = nullptr;
         if (!_core->free.empty()) {
-            f = _core->free.back().release();
+            slot = _core->free.back();
             _core->free.pop_back();
         } else {
-            f = new Frame();
+            slot = new FramePtr::Slot;
+            slot->core = _core;
+            ++_core->heapAllocations;
         }
-        return FramePtr(f, Recycler{_core});
+        ++_core->live;
+        return FramePtr(slot);
     }
 
     std::size_t freeCount() const { return _core->free.size(); }
 
+    /** Frames this pool has taken from the heap; flat in steady state. */
+    std::uint64_t heapAllocations() const { return _core->heapAllocations; }
+
   private:
+    friend class FramePtr;
+
     /** Frames cached beyond this are genuinely freed. */
     static constexpr std::size_t kMaxFree = 512;
 
-    struct Core
-    {
-        std::vector<std::unique_ptr<Frame>> free;
-    };
-
-    struct Recycler
-    {
-        std::shared_ptr<Core> core;
-
-        void
-        operator()(Frame *f) const noexcept
-        {
-            if (core->free.size() >= kMaxFree) {
-                delete f;
-                return;
-            }
-            // Reset to default state now so payload references are
-            // released immediately; clear() keeps txns' capacity,
-            // which is the allocation this pool exists to recycle.
-            f->seq = 0;
-            f->txns.clear();
-            f->usedFlits = 0;
-            f->padFlits = 0;
-            f->corrupted = false;
-            f->replayed = false;
-            core->free.emplace_back(f);
-        }
-    };
-
-    std::shared_ptr<Core> _core;
+    FramePtr::Core *_core;
 };
+
+inline void
+FramePtr::reset() noexcept
+{
+    Slot *slot = std::exchange(_slot, nullptr);
+    if (slot != nullptr && --slot->refs == 0)
+        release(slot);
+}
+
+inline void
+FramePtr::release(Slot *slot) noexcept
+{
+    Core *core = slot->core;
+    --core->live;
+    if (core->orphaned || core->free.size() >= FramePool::kMaxFree) {
+        delete slot;
+        if (core->orphaned && core->live == 0)
+            delete core;
+        return;
+    }
+    // Reset to default state now so payload references are released
+    // immediately; clear() keeps txns' capacity, which is the
+    // allocation this pool exists to recycle.
+    Frame &f = slot->frame;
+    f.seq = 0;
+    f.txns.clear();
+    f.usedFlits = 0;
+    f.padFlits = 0;
+    f.corrupted = false;
+    f.replayed = false;
+    core->free.push_back(slot);
+}
 
 /**
  * In-band control info travelling opposite to a frame's direction.

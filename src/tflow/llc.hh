@@ -249,6 +249,7 @@ class LlcTx : public sim::SimObject
     std::uint32_t credits() const { return _credits; }
     std::size_t queueDepth() const { return _queue.size(); }
     std::size_t replayBufDepth() const { return _replayBuf.size(); }
+    const FramePool &framePool() const { return _framePool; }
 
     std::uint64_t framesSent() const { return _framesSent.value(); }
     std::uint64_t txnsSent() const { return _txnsSent.value(); }

@@ -30,6 +30,8 @@ StealingEndpoint::StealingEndpoint(std::string name, sim::EventQueue &eq,
         [this](mem::TxnPtr txn) { _stackUp.push(std::move(txn)); });
     _stackUp.connect(
         [this](mem::TxnPtr txn) { sendResponse(std::move(txn)); });
+    _c1.connect(
+        [this](mem::TxnPtr resp) { _serdesUp.push(std::move(resp)); });
 }
 
 void
@@ -72,9 +74,7 @@ StealingEndpoint::master(mem::TxnPtr txn)
 {
     _served.inc();
     ocapi::Pasid pasid = pasidFor(txn->networkId);
-    _c1.master(pasid, std::move(txn), [this](mem::TxnPtr resp) {
-        _serdesUp.push(std::move(resp));
-    });
+    _c1.master(pasid, std::move(txn));
 }
 
 void

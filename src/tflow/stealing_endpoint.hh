@@ -25,6 +25,7 @@ namespace tf::flow {
 class StealingEndpoint : public sim::SimObject
 {
   public:
+    /** Takes over @p c1's output: its responses flow back through here. */
     StealingEndpoint(std::string name, sim::EventQueue &eq,
                      const FlowParams &params, ocapi::C1Master &c1);
 

@@ -614,3 +614,114 @@ TEST(DeadlineFailover, PermanentDeathErrorCompletesEveryRequest)
     // Worst case per request: 1.5x the deadline past the issue tail.
     EXPECT_LT(eq.now(), sim::microseconds(200));
 }
+
+// ---------------------------------- tag table: the duplicate rule
+
+namespace {
+
+/**
+ * One un-bonded channel and a single OpenCAPI tag, so every request
+ * reuses the tag its predecessor held.
+ */
+struct TagReuseFixture : ::testing::Test
+{
+    sim::EventQueue eq;
+    sim::Rng rng{11};
+    mem::BackingStore donorStore;
+    std::unique_ptr<mem::Dram> donorDram;
+    ocapi::PasidRegistry pasids;
+    flow::FlowParams params;
+    std::unique_ptr<flow::Datapath> dp;
+
+    void
+    SetUp() override
+    {
+        params.maxTags = 1;
+        donorDram = std::make_unique<mem::Dram>(
+            "donorDram", eq, mem::DramParams{}, &donorStore);
+        dp = std::make_unique<flow::Datapath>(
+            "dp", eq, params,
+            ocapi::M1Window{kWindowBase, kWindowSize}, pasids,
+            *donorDram, rng, kSectionBytes);
+        ocapi::Pasid pasid = pasids.allocate();
+        ASSERT_TRUE(
+            pasids.registerRegion(pasid, kDonorBase, kWindowSize));
+        dp->stealing().setPasid(pasid);
+        dp->attach(0, kDonorBase, 1, {0});
+    }
+};
+
+} // namespace
+
+TEST_F(TagReuseFixture, DuplicateAfterTagReuseLeavesNewRequestAlone)
+{
+    int firstDone = 0;
+    TxnPtr first = mem::makeTxn(TxnType::ReadReq, kWindowBase);
+    first->onComplete = [&](mem::MemTxn &) { ++firstDone; };
+    dp->issue(first);
+    eq.run();
+    ASSERT_EQ(firstDone, 1);
+
+    // The second request takes the only tag...
+    int secondDone = 0;
+    std::uint64_t dupsWhenSecondDone = 0;
+    TxnPtr second = mem::makeTxn(TxnType::ReadReq, kWindowBase + 128);
+    second->onComplete = [&](mem::MemTxn &t) {
+        ++secondDone;
+        dupsWhenSecondDone = dp->compute().duplicateResponses();
+        EXPECT_FALSE(t.error);
+    };
+    dp->issue(second);
+    ASSERT_EQ(dp->compute().outstanding(), 1u);
+
+    // ...and the first request's response arrives again, as the
+    // salvage of an at-least-once failover re-delivers it. It crosses
+    // the host stack long before the second request's round trip.
+    dp->compute().onNetworkResponse(first);
+    eq.run();
+
+    EXPECT_EQ(dp->compute().duplicateResponses(), 1u);
+    EXPECT_EQ(dupsWhenSecondDone, 1u) << "duplicate landed too late";
+    EXPECT_EQ(firstDone, 1);
+    EXPECT_EQ(secondDone, 1);
+    EXPECT_EQ(dp->compute().completed(), 2u);
+    EXPECT_EQ(dp->compute().outstanding(), 0u);
+}
+
+TEST_F(TagReuseFixture, LateResponseAfterAbortIsADuplicate)
+{
+    int firstDone = 0;
+    bool firstError = false;
+    TxnPtr first = mem::makeTxn(TxnType::ReadReq, kWindowBase);
+    first->onComplete = [&](mem::MemTxn &t) {
+        ++firstDone;
+        firstError = t.error;
+    };
+    dp->issue(first);
+    // Past the RMMU (which tags it with the flow), short of the donor.
+    eq.run(sim::nanoseconds(400));
+    EXPECT_EQ(dp->abortFlow(1), 1u);
+    EXPECT_EQ(firstDone, 1);
+    EXPECT_TRUE(firstError);
+
+    // A new request reuses the freed tag while the aborted one's
+    // response is still in flight ahead of it.
+    int secondDone = 0;
+    std::uint64_t dupsWhenSecondDone = 0;
+    TxnPtr second = mem::makeTxn(TxnType::ReadReq, kWindowBase + 128);
+    second->onComplete = [&](mem::MemTxn &t) {
+        ++secondDone;
+        dupsWhenSecondDone = dp->compute().duplicateResponses();
+        EXPECT_FALSE(t.error);
+    };
+    dp->issue(second);
+    eq.run();
+
+    EXPECT_EQ(dp->compute().duplicateResponses(), 1u);
+    EXPECT_EQ(dupsWhenSecondDone, 1u) << "late response overtaken";
+    EXPECT_EQ(firstDone, 1);
+    EXPECT_EQ(secondDone, 1);
+    EXPECT_EQ(dp->compute().abortedTxns(), 1u);
+    EXPECT_EQ(dp->compute().completed(), 2u);
+    EXPECT_EQ(dp->compute().outstanding(), 0u);
+}

@@ -669,7 +669,10 @@ TEST(FramePool, RecyclingReleasesTxnPayloadImmediately)
 {
     FramePool pool;
     auto txn = mem::makeTxn(TxnType::WriteReq, 0);
-    std::weak_ptr<TxnPtr::element_type> weak = txn;
+    // The completion's capture dies exactly when the transaction does.
+    auto capture = std::make_shared<int>(0);
+    std::weak_ptr<int> weak = capture;
+    txn->onComplete = [capture = std::move(capture)](mem::MemTxn &) {};
     {
         FramePtr f = pool.acquire();
         f->txns.push_back(std::move(txn));
@@ -687,8 +690,9 @@ TEST(FramePool, FrameMayOutliveItsPool)
         f = pool.acquire();
         f->seq = 9;
     }
-    // The recycler's shared core keeps the freelist storage alive;
-    // releasing the frame after the pool died must not crash.
+    // The pool's core outlives the pool until its last frame is
+    // released; releasing the frame after the pool died must not
+    // crash (or leak: the release frees the core).
     EXPECT_EQ(f->seq, 9u);
     f.reset();
 }

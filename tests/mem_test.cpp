@@ -6,10 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "mem/backing_store.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/transaction.hh"
+#include "tflow/datapath.hh"
 
 using namespace tf;
 using namespace tf::mem;
@@ -54,6 +60,267 @@ TEST(Txn, FlitCounts)
     EXPECT_EQ(flitCount(*wr), 5u);
     wr->makeResponse();
     EXPECT_EQ(flitCount(*wr), 1u);
+}
+
+namespace {
+
+/** Records failed transactions, in call order with completions. */
+struct RecordingSink : ErrorSink
+{
+    std::vector<std::string> *log = nullptr;
+    int failed = 0;
+
+    void
+    txnFailed(const MemTxn &) override
+    {
+        ++failed;
+        if (log)
+            log->push_back("sink");
+    }
+};
+
+/**
+ * Hold enough live transactions that this thread's freelist is empty
+ * (it caches far fewer than 1024), so the next release is the next
+ * object the pool hands out.
+ */
+std::vector<TxnPtr>
+drainTxnFreelist()
+{
+    std::vector<TxnPtr> held;
+    for (int i = 0; i < 1024; ++i)
+        held.push_back(makeTxn(TxnType::ReadReq, 0));
+    return held;
+}
+
+} // namespace
+
+TEST(Txn, ErrorSinkRunsBeforeCompletionOnlyOnError)
+{
+    std::vector<std::string> log;
+    RecordingSink sink;
+    sink.log = &log;
+
+    auto ok = makeTxn(TxnType::ReadReq, 0x80);
+    ok->errorSink = &sink;
+    ok->onComplete = [&](MemTxn &) { log.push_back("ok"); };
+    ok->complete();
+    EXPECT_EQ(sink.failed, 0);
+
+    auto bad = makeTxn(TxnType::ReadReq, 0x80);
+    bad->errorSink = &sink;
+    bad->error = true;
+    bad->onComplete = [&](MemTxn &t) {
+        EXPECT_EQ(t.status, TxnStatus::Error);
+        log.push_back("bad");
+    };
+    bad->complete();
+    bad->complete(); // both run at most once
+    EXPECT_EQ(sink.failed, 1);
+    EXPECT_EQ(log, (std::vector<std::string>{"ok", "sink", "bad"}));
+}
+
+// ------------------------------------------------------------------
+// Transaction pool: counted handles and the per-thread freelist.
+// ------------------------------------------------------------------
+
+TEST(TxnPool, RecycledTxnComesBackInDefaultState)
+{
+    auto held = drainTxnFreelist();
+    RecordingSink sink;
+    MemTxn *raw = nullptr;
+    std::uint64_t oldId = 0;
+    {
+        TxnPtr txn = makeTxn(TxnType::WriteReq, 0x1000, 256);
+        raw = txn.get();
+        oldId = txn->id;
+        txn->addr = 0x9000;
+        txn->networkId = 3;
+        txn->bonded = true;
+        txn->arrivalChannel = 2;
+        txn->error = true;
+        txn->status = TxnStatus::TimedOut;
+        txn->issued = 77;
+        txn->traceId = 9;
+        txn->tag = 5;
+        txn->errorSink = &sink;
+        txn->hostAddr = 0x2000;
+        txn->data.assign(cachelineBytes, 0xab);
+        txn->onComplete = [](MemTxn &) {};
+        txn->makeResponse();
+    }
+    TxnPtr g = makeTxn(TxnType::ReadReq, 0x40);
+    ASSERT_EQ(g.get(), raw); // recycled object, not a fresh allocation
+    EXPECT_EQ(g.useCount(), 1u);
+    EXPECT_GT(g->id, oldId);
+    EXPECT_EQ(g->type, TxnType::ReadReq);
+    EXPECT_EQ(g->addr, 0x40u);
+    EXPECT_EQ(g->origAddr, 0x40u);
+    EXPECT_EQ(g->size, cachelineBytes);
+    EXPECT_EQ(g->networkId, invalidNetworkId);
+    EXPECT_FALSE(g->bonded);
+    EXPECT_EQ(g->arrivalChannel, -1);
+    EXPECT_FALSE(g->error);
+    EXPECT_EQ(g->status, TxnStatus::Pending);
+    EXPECT_EQ(g->issued, 0u);
+    EXPECT_EQ(g->traceId, sim::trace::noTrace);
+    EXPECT_EQ(g->tag, noTag);
+    EXPECT_EQ(g->errorSink, nullptr);
+    EXPECT_EQ(g->hostAddr, 0u);
+    EXPECT_TRUE(g->data.empty());
+    EXPECT_FALSE(g->onComplete);
+    EXPECT_EQ(sink.failed, 0); // recycling completes nothing
+}
+
+TEST(TxnPool, RecyclingKeepsAtMostACachelineOfPayload)
+{
+    auto held = drainTxnFreelist();
+    MemTxn *raw = nullptr;
+    {
+        TxnPtr line = makeTxn(TxnType::WriteReq, 0);
+        line->data.assign(cachelineBytes, 1);
+        raw = line.get();
+    }
+    TxnPtr reused = makeTxn(TxnType::ReadReq, 0);
+    ASSERT_EQ(reused.get(), raw);
+    // A cacheline's capacity stays, so the next payload allocates
+    // nothing...
+    EXPECT_EQ(reused->data.capacity(), cachelineBytes);
+
+    // ...but a page-sized one (a page-cache install or flush
+    // snapshot) is not hoarded.
+    reused->data.assign(pageBytes, 1);
+    reused.reset();
+    TxnPtr again = makeTxn(TxnType::ReadReq, 0);
+    ASSERT_EQ(again.get(), raw);
+    EXPECT_LE(again->data.capacity(), cachelineBytes);
+}
+
+TEST(TxnPool, CompletionCapturesDieWithTheLastHandle)
+{
+    auto capture = std::make_shared<int>(0);
+    std::weak_ptr<int> weak = capture;
+    TxnPtr a = makeTxn(TxnType::ReadReq, 0);
+    a->onComplete = [capture = std::move(capture)](MemTxn &) {};
+    TxnPtr b = a;
+    EXPECT_EQ(a.useCount(), 2u);
+    a.reset();
+    EXPECT_EQ(b.useCount(), 1u);
+    EXPECT_FALSE(weak.expired());
+    b.reset();
+    EXPECT_TRUE(weak.expired());
+}
+
+TEST(TxnPool, CloneKeepsIdAndTakesCompletionAndSink)
+{
+    RecordingSink sink;
+    int fired = 0;
+    TxnPtr orig = makeTxn(TxnType::WriteReq, 0x80);
+    orig->networkId = 4;
+    orig->issued = 11;
+    orig->traceId = 6;
+    orig->hostAddr = 0x1080;
+    orig->data.assign(cachelineBytes, 7);
+    orig->errorSink = &sink;
+    orig->onComplete = [&](MemTxn &t) {
+        ++fired;
+        EXPECT_TRUE(t.error);
+    };
+
+    std::uint64_t before = makeTxn(TxnType::ReadReq, 0)->id;
+    TxnPtr clone = cloneForCompletion(*orig);
+    std::uint64_t after = makeTxn(TxnType::ReadReq, 0)->id;
+    EXPECT_EQ(after, before + 1) << "the clone drew a fresh id";
+
+    EXPECT_NE(clone.get(), orig.get());
+    EXPECT_EQ(clone->id, orig->id);
+    EXPECT_EQ(clone->type, TxnType::WriteReq);
+    EXPECT_EQ(clone->addr, 0x80u);
+    EXPECT_EQ(clone->networkId, 4u);
+    EXPECT_EQ(clone->issued, 11u);
+    EXPECT_EQ(clone->traceId, 6u);
+    EXPECT_EQ(clone->hostAddr, 0x1080u);
+    EXPECT_EQ(clone->data, orig->data);
+    EXPECT_EQ(clone->errorSink, &sink);
+    EXPECT_TRUE(clone->onComplete);
+    EXPECT_EQ(orig->errorSink, nullptr);
+    EXPECT_FALSE(orig->onComplete);
+
+    // The original completes nothing any more; the clone does.
+    orig->error = true;
+    orig->complete();
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(sink.failed, 0);
+    clone->error = true;
+    clone->complete();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(sink.failed, 1);
+}
+
+TEST(TxnPool, DatapathRoundTripsAllocateNoTxnOrFrame)
+{
+    constexpr Addr kWindowBase = 0x2000000000ULL;
+    constexpr std::uint64_t kWindowSize = 1ULL << 30;
+    constexpr std::uint64_t kSection = 1ULL << 24;
+    constexpr Addr kDonorBase = 0x100000000ULL;
+    constexpr int kWindow = 64;
+
+    sim::EventQueue eq;
+    sim::Rng rng(5);
+    BackingStore store;
+    Dram dram("donorDram", eq, DramParams{}, &store);
+    ocapi::PasidRegistry pasids;
+    flow::FlowParams params;
+    params.channels = 2;
+    flow::Datapath path("dp", eq, params,
+                        ocapi::M1Window{kWindowBase, kWindowSize},
+                        pasids, dram, rng, kSection);
+    ocapi::Pasid pasid = pasids.allocate();
+    ASSERT_TRUE(pasids.registerRegion(pasid, kDonorBase, kWindowSize));
+    path.stealing().setPasid(pasid);
+    path.attach(0, kDonorBase, 1, {0, 1});
+
+    // Closed loop, reads and writes alternating.
+    int issued = 0, completed = 0, target = 0;
+    std::function<void()> one = [&] {
+        if (issued == target)
+            return;
+        bool write = issued % 2 == 1;
+        auto txn = makeTxn(write ? TxnType::WriteReq : TxnType::ReadReq,
+                           kWindowBase + static_cast<Addr>(issued % 4096) *
+                                             cachelineBytes);
+        if (write)
+            txn->data.assign(cachelineBytes, 3);
+        ++issued;
+        txn->onComplete = [&](MemTxn &t) {
+            EXPECT_FALSE(t.error);
+            ++completed;
+            one();
+        };
+        path.issue(txn);
+    };
+    auto framesAllocated = [&] {
+        std::uint64_t n = 0;
+        for (std::size_t c = 0; c < path.channelCount(); ++c)
+            n += path.channel(c).txA().framePool().heapAllocations() +
+                 path.channel(c).txB().framePool().heapAllocations();
+        return n;
+    };
+    auto roundTrips = [&](int n) {
+        target += n;
+        for (int i = 0; i < kWindow; ++i)
+            one();
+        eq.run();
+        ASSERT_EQ(completed, target);
+    };
+
+    roundTrips(2000); // warm-up fills both freelists
+    std::uint64_t txns = txnHeapAllocations();
+    std::uint64_t frames = framesAllocated();
+    EXPECT_GT(frames, 0u);
+    roundTrips(10000);
+    EXPECT_EQ(txnHeapAllocations(), txns);
+    EXPECT_EQ(framesAllocated(), frames);
 }
 
 TEST(Addr, Alignment)

@@ -145,11 +145,12 @@ TEST_F(C1Fixture, AuthorizedAccessReachesDram)
 {
     auto txn = mem::makeTxn(TxnType::ReadReq, 0x100000);
     bool done = false;
-    c1->master(pasid, txn, [&](TxnPtr t) {
+    c1->connect([&](TxnPtr t) {
         done = true;
         EXPECT_FALSE(t->error);
         EXPECT_EQ(t->data.size(), mem::cachelineBytes);
     });
+    c1->master(pasid, txn);
     eq.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(c1->transactions(), 1u);
@@ -160,10 +161,11 @@ TEST_F(C1Fixture, UnauthorizedAccessFaults)
 {
     auto txn = mem::makeTxn(TxnType::ReadReq, 0x0); // unregistered
     bool done = false;
-    c1->master(pasid, txn, [&](TxnPtr t) {
+    c1->connect([&](TxnPtr t) {
         done = true;
         EXPECT_TRUE(t->error);
     });
+    c1->master(pasid, txn);
     eq.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(c1->faults(), 1u);
@@ -177,12 +179,13 @@ TEST_F(C1Fixture, BandwidthCeiling128B)
     // below the 20 GiB/s achievable with 256B bursts.
     const int n = 20000;
     int completed = 0;
+    c1->connect([&](TxnPtr) { ++completed; });
     for (int i = 0; i < n; ++i) {
         auto txn = mem::makeTxn(
             TxnType::WriteReq,
             0x100000 + (static_cast<Addr>(i) * 128) % (1 << 20));
         txn->data.assign(128, 0x5a);
-        c1->master(pasid, txn, [&](TxnPtr) { ++completed; });
+        c1->master(pasid, txn);
     }
     eq.run();
     ASSERT_EQ(completed, n);
@@ -197,12 +200,13 @@ TEST_F(C1Fixture, BandwidthHigherWith256B)
 {
     const int n = 10000;
     int completed = 0;
+    c1->connect([&](TxnPtr) { ++completed; });
     for (int i = 0; i < n; ++i) {
         auto txn = mem::makeTxn(
             TxnType::WriteReq,
             0x100000 + (static_cast<Addr>(i) * 256) % (1 << 20), 256);
         txn->data.assign(256, 0x5a);
-        c1->master(pasid, txn, [&](TxnPtr) { ++completed; });
+        c1->master(pasid, txn);
     }
     eq.run();
     ASSERT_EQ(completed, n);

@@ -260,7 +260,7 @@ struct DatapathFixture : ::testing::Test
             txn->data = data;
         TxnPtr got;
         txn->onComplete = [&](mem::MemTxn &t) {
-            got = std::make_shared<mem::MemTxn>(t);
+            got = TxnPtr(&t);
         };
         dp->issue(txn);
         eq.run();

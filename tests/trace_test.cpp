@@ -326,7 +326,7 @@ TEST_F(TraceFixture, ResponsesReuseTheRequestTraceId)
     auto txn = mem::makeTxn(TxnType::ReadReq, kWindowBase + 0x100);
     TxnPtr got;
     txn->onComplete = [&](mem::MemTxn &t) {
-        got = std::make_shared<mem::MemTxn>(t);
+        got = TxnPtr(&t);
     };
     dp->issue(txn);
     eq.run();
