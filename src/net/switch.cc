@@ -1,7 +1,6 @@
 #include "net/switch.hh"
 
 #include <algorithm>
-#include <deque>
 
 #include "sim/logging.hh"
 
@@ -108,7 +107,9 @@ FabricLink::attachStats(sim::StatSet &set)
 
 struct Fabric::Msg
 {
-    const Path *path;
+    /** The destination's next-hop row. */
+    const std::uint32_t *next;
+    const Element *dst;
     std::uint64_t bytes;
     sim::EventQueue::Callback delivered;
 };
@@ -128,10 +129,9 @@ Fabric::element(const std::string &name)
 }
 
 sim::EventQueue &
-Fabric::queueOf(const std::string &name)
+Fabric::queueOf(const Element &e)
 {
-    sim::par::LogicalProcess *lp = element(name).home;
-    return lp != nullptr ? lp->queue() : _eq;
+    return e.home != nullptr ? e.home->queue() : _eq;
 }
 
 void
@@ -174,22 +174,26 @@ Fabric::connect(const std::string &a, const std::string &b,
               _name.c_str(), a.c_str(), b.c_str());
     TF_ASSERT(a != b, "%s: self-link on '%s'", _name.c_str(),
               a.c_str());
-    TF_ASSERT(_links.count(a + "->" + b) == 0,
-              "%s: duplicate link %s <-> %s", _name.c_str(),
-              a.c_str(), b.c_str());
-    for (const std::string &n : {a, b}) {
-        Element &e = element(n);
-        e.ports++;
-        TF_ASSERT(!e.isSwitch || e.ports <= e.sw.radix,
+    const std::string ab = a + "->" + b;
+    const std::string ba = b + "->" + a;
+    TF_ASSERT(_links.count(ab) == 0, "%s: duplicate link %s <-> %s",
+              _name.c_str(), a.c_str(), b.c_str());
+    Element &ea = element(a);
+    Element &eb = element(b);
+    for (const Element *e : {&ea, &eb})
+        TF_ASSERT(!e->isSwitch || e->ports.size() < e->sw.radix,
                   "%s: switch '%s' exceeds radix %u", _name.c_str(),
-                  n.c_str(), e.sw.radix);
-    }
-    element(a).neighbours.push_back(b);
-    element(b).neighbours.push_back(a);
-    _links[a + "->" + b] = std::make_unique<FabricLink>(
-        _name + "." + a + "->" + b, queueOf(a), params);
-    _links[b + "->" + a] = std::make_unique<FabricLink>(
-        _name + "." + b + "->" + a, queueOf(b), params);
+                  (e == &ea ? a : b).c_str(), e->sw.radix);
+    Link &lab = _links[ab];
+    lab = Link{std::make_unique<FabricLink>(_name + "." + ab,
+                                            queueOf(ea), params),
+               &ea, &eb};
+    Link &lba = _links[ba];
+    lba = Link{std::make_unique<FabricLink>(_name + "." + ba,
+                                            queueOf(eb), params),
+               &eb, &ea};
+    ea.ports.push_back(Port{&eb, lab.link.get()});
+    eb.ports.push_back(Port{&ea, lba.link.get()});
 }
 
 void
@@ -197,61 +201,51 @@ Fabric::finalize()
 {
     TF_ASSERT(!_finalized, "%s: finalize() twice", _name.c_str());
     _finalized = true;
-    for (auto &kv : _elements)
-        std::sort(kv.second.neighbours.begin(),
-                  kv.second.neighbours.end());
+    std::uint32_t endpoints = 0;
+    _byId.reserve(_elements.size());
+    for (auto &[name, e] : _elements) {
+        e.id = static_cast<std::uint32_t>(_byId.size());
+        _byId.push_back(&e);
+        if (!e.isSwitch)
+            e.endpoint = endpoints++;
+    }
+    for (Element *e : _byId)
+        std::sort(e->ports.begin(), e->ports.end(),
+                  [](const Port &x, const Port &y) {
+                      return x.to->id < y.to->id;
+                  });
 
-    // Per-destination BFS over the undirected graph; dist[] plus the
-    // sorted-neighbour visit order makes the parent choice — and so
-    // every route — a pure function of the topology.
-    for (auto &dstKv : _elements) {
-        if (dstKv.second.isSwitch)
+    // One BFS per destination over the undirected graph gives every
+    // element's hop count to it. The next hop is then the lowest-id
+    // (first by name) neighbour one hop closer, so every route is a
+    // pure function of the topology.
+    _nextHop.resize(endpoints);
+    std::vector<std::uint32_t> dist(_byId.size());
+    std::vector<Element *> order;
+    order.reserve(_byId.size());
+    for (Element *dst : _byId) {
+        if (dst->isSwitch || dst->ports.empty())
             continue;
-        const std::string &dst = dstKv.first;
-        std::map<std::string, std::size_t> dist;
-        std::deque<std::string> frontier;
-        dist[dst] = 0;
-        frontier.push_back(dst);
-        while (!frontier.empty()) {
-            std::string cur = frontier.front();
-            frontier.pop_front();
-            for (const std::string &nb :
-                 _elements.at(cur).neighbours) {
-                if (dist.count(nb))
+        std::fill(dist.begin(), dist.end(), kNoRoute);
+        dist[dst->id] = 0;
+        order.assign(1, dst);
+        for (std::size_t head = 0; head < order.size(); ++head) {
+            const Element *at = order[head];
+            for (const Port &p : at->ports) {
+                if (dist[p.to->id] != kNoRoute)
                     continue;
-                dist[nb] = dist.at(cur) + 1;
-                frontier.push_back(nb);
+                dist[p.to->id] = dist[at->id] + 1;
+                order.push_back(p.to);
             }
         }
-        for (auto &srcKv : _elements) {
-            const std::string &src = srcKv.first;
-            if (srcKv.second.isSwitch || src == dst ||
-                dist.count(src) == 0)
-                continue;
-            Path path;
-            std::string cur = src;
-            while (cur != dst) {
-                // Next hop: the sorted-first neighbour one step
-                // closer to the destination.
-                const Element &e = _elements.at(cur);
-                const std::string *next = nullptr;
-                for (const std::string &nb : e.neighbours) {
-                    auto it = dist.find(nb);
-                    if (it != dist.end() &&
-                        it->second + 1 == dist.at(cur)) {
-                        next = &nb;
-                        break;
-                    }
-                }
-                TF_ASSERT(next != nullptr,
-                          "%s: BFS route %s -> %s broke at '%s'",
-                          _name.c_str(), src.c_str(), dst.c_str(),
-                          cur.c_str());
-                path.push_back(Hop{_links.at(cur + "->" + *next).get(),
-                                   &_elements.at(cur)});
-                cur = *next;
-            }
-            _routes[src + "->" + dst] = std::move(path);
+        std::vector<std::uint32_t> &next = _nextHop[dst->endpoint];
+        next.assign(_byId.size(), kNoRoute);
+        for (std::size_t k = 1; k < order.size(); ++k) {
+            const Element *at = order[k];
+            std::uint32_t port = 0;
+            while (dist[at->ports[port].to->id] + 1 != dist[at->id])
+                ++port;
+            next[at->id] = port;
         }
     }
 }
@@ -259,70 +253,87 @@ Fabric::finalize()
 void
 Fabric::partition(sim::par::ParallelEngine &engine)
 {
-    // Map iteration order makes channel indices (and the engine's
-    // merge tiebreak) independent of connect() order.
-    for (auto &kv : _links) {
-        const std::string &key = kv.first;
-        auto sep = key.find("->");
-        sim::par::LogicalProcess *src =
-            _elements.at(key.substr(0, sep)).home;
-        sim::par::LogicalProcess *dst =
-            _elements.at(key.substr(sep + 2)).home;
+    // Key order makes channel indices (and the engine's merge
+    // tiebreak) independent of connect() order.
+    for (auto &[key, l] : _links) {
+        sim::par::LogicalProcess *src = l.src->home;
+        sim::par::LogicalProcess *dst = l.dst->home;
         if (src == nullptr || dst == nullptr || src == dst)
             continue;
-        kv.second->bindChannel(&engine.connect(
-            *src, *dst, kv.second->params().latency,
-            _name + "." + key));
+        l.link->bindChannel(&engine.connect(
+            *src, *dst, l.link->params().latency, _name + "." + key));
     }
+}
+
+std::pair<Fabric::Element *, Fabric::Element *>
+Fabric::routeEnds(const std::string &src, const std::string &dst) const
+{
+    if (!_finalized)
+        return {};
+    auto s = _elements.find(src);
+    auto d = _elements.find(dst);
+    if (s == _elements.end() || d == _elements.end() ||
+        s->second.isSwitch || d->second.isSwitch)
+        return {};
+    const std::vector<std::uint32_t> &next =
+        _nextHop[d->second.endpoint];
+    if (next.empty() || next[s->second.id] == kNoRoute)
+        return {};
+    return {_byId[s->second.id], _byId[d->second.id]};
 }
 
 bool
 Fabric::reachable(const std::string &src,
                   const std::string &dst) const
 {
-    return _routes.count(src + "->" + dst) > 0;
+    return routeEnds(src, dst).first != nullptr;
 }
 
 std::size_t
 Fabric::hopCount(const std::string &src, const std::string &dst) const
 {
-    auto it = _routes.find(src + "->" + dst);
-    return it == _routes.end() ? 0 : it->second.size();
+    auto [at, to] = routeEnds(src, dst);
+    if (at == nullptr)
+        return 0;
+    const std::vector<std::uint32_t> &next = _nextHop[to->endpoint];
+    std::size_t hops = 0;
+    for (; at != to; at = at->ports[next[at->id]].to)
+        ++hops;
+    return hops;
 }
 
 void
 Fabric::send(const std::string &src, const std::string &dst,
              std::uint64_t bytes, sim::EventQueue::Callback delivered)
 {
-    auto it = _routes.find(src + "->" + dst);
-    TF_ASSERT(it != _routes.end(), "%s: no route %s -> %s",
-              _name.c_str(), src.c_str(), dst.c_str());
-    auto msg = std::make_shared<Msg>(
-        Msg{&it->second, bytes, std::move(delivered)});
-    step(std::move(msg), 0);
+    auto [from, to] = routeEnds(src, dst);
+    TF_ASSERT(from != nullptr, "%s: no route %s -> %s", _name.c_str(),
+              src.c_str(), dst.c_str());
+    step(std::make_unique<Msg>(Msg{_nextHop[to->endpoint].data(), to,
+                                   bytes, std::move(delivered)}),
+         from);
 }
 
 void
-Fabric::step(std::shared_ptr<Msg> msg, std::size_t hop)
+Fabric::step(std::unique_ptr<Msg> msg, Element *at)
 {
-    const Path &path = *msg->path;
-    if (hop == path.size()) {
+    if (at == msg->dst) {
         auto cb = std::move(msg->delivered);
         cb();
         return;
     }
-    Element *from = path[hop].from;
+    const Port &port = at->ports[msg->next[at->id]];
     sim::Tick crossing = 0;
-    if (from->isSwitch) {
-        crossing = from->sw.crossingLatency;
-        from->relayed.inc();
-        from->relayedBytes.inc(msg->bytes);
+    if (at->isSwitch) {
+        crossing = at->sw.crossingLatency;
+        at->relayed.inc();
+        at->relayedBytes.inc(msg->bytes);
     }
     std::uint64_t bytes = msg->bytes;
-    path[hop].link->send(bytes, crossing,
-                         [this, msg = std::move(msg), hop]() mutable {
-                             step(std::move(msg), hop + 1);
-                         });
+    port.link->send(bytes, crossing,
+                    [this, msg = std::move(msg), to = port.to]() mutable {
+                        step(std::move(msg), to);
+                    });
 }
 
 std::uint64_t
@@ -340,7 +351,7 @@ Fabric::maxQueueDelayNs() const
 {
     double worst = 0.0;
     for (const auto &kv : _links)
-        worst = std::max(worst, kv.second->queueDelayNs().max());
+        worst = std::max(worst, kv.second.link->queueDelayNs().max());
     return worst;
 }
 
@@ -349,7 +360,7 @@ Fabric::maxQueueHighWater() const
 {
     std::uint64_t worst = 0;
     for (const auto &kv : _links)
-        worst = std::max(worst, kv.second->queueHighWater());
+        worst = std::max(worst, kv.second.link->queueHighWater());
     return worst;
 }
 
@@ -358,18 +369,16 @@ Fabric::forEachLink(
     const std::function<void(const std::string &, FabricLink &,
                              sim::par::LogicalProcess *)> &fn)
 {
-    for (auto &kv : _links) {
-        std::string src = kv.first.substr(0, kv.first.find("->"));
-        fn(kv.first, *kv.second, element(src).home);
-    }
+    for (auto &[key, l] : _links)
+        fn(key, *l.link, l.src->home);
 }
 
 void
 Fabric::registerStats(sim::StatsRegistry &reg,
                       const std::string &prefix)
 {
-    for (auto &kv : _links)
-        kv.second->attachStats(reg.at(prefix + "." + kv.first));
+    for (auto &[key, l] : _links)
+        l.link->attachStats(reg.at(prefix + "." + key));
     for (auto &kv : _elements) {
         if (!kv.second.isSwitch)
             continue;
@@ -382,23 +391,20 @@ Fabric::registerStats(sim::StatsRegistry &reg,
 
 void
 Fabric::registerFaultPoints(
-    sim::fault::Registry &reg, const std::string &prefix,
-    const sim::par::LogicalProcess *homeFilter)
+    const std::string &prefix,
+    const std::function<sim::fault::Registry *(
+        const sim::par::LogicalProcess *)> &registryOf)
 {
     using sim::fault::Event;
     using sim::fault::Kind;
     using sim::fault::kindBit;
-    for (auto &kv : _links) {
-        const std::string &key = kv.first;
-        auto sep = key.find("->");
-        const Element &src = _elements.at(key.substr(0, sep));
-        if (homeFilter != nullptr && src.home != homeFilter)
-            continue;
-        FabricLink *l = kv.second.get();
-        reg.add(prefix + "." + key, kindBit(Kind::LatencySpike),
-                [l](const Event &ev) {
-                    l->spike(ev.extraLatency, ev.duration);
-                });
+    for (auto &[key, link] : _links) {
+        FabricLink *l = link.link.get();
+        registryOf(link.src->home)
+            ->add(prefix + "." + key, kindBit(Kind::LatencySpike),
+                  [l](const Event &ev) {
+                      l->spike(ev.extraLatency, ev.duration);
+                  });
     }
 }
 

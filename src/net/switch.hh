@@ -37,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/fault/fault.hh"
@@ -194,9 +195,11 @@ class Fabric
                  FabricLinkParams params);
 
     /**
-     * Compute routes: per-element next-hop tables by BFS hop count,
-     * neighbours visited in sorted name order so equal-cost paths
-     * break ties deterministically. Call once, after connect().
+     * Compute routes: number the elements in name order, then one
+     * integer BFS per destination endpoint gives every element's hop
+     * count to it, and the next hop is the neighbour one hop closer
+     * whose name sorts first. O(endpoints x elements) time and
+     * storage. Call once, after connect().
      */
     void finalize();
 
@@ -249,48 +252,76 @@ class Fabric
 
     /**
      * Register a LatencySpike fault point per directed link as
-     * "<prefix>.<src>-><dst>". A non-null @p homeFilter restricts
-     * registration to links homed on that LP, so partitioned rigs
-     * can keep one fault registry per LP.
+     * "<prefix>.<src>-><dst>", in the registry @p registryOf returns
+     * for the link's home LP (nullptr when unassigned), so a
+     * partitioned rig can keep one fault registry per LP.
      */
     void registerFaultPoints(
-        sim::fault::Registry &reg, const std::string &prefix,
-        const sim::par::LogicalProcess *homeFilter = nullptr);
+        const std::string &prefix,
+        const std::function<sim::fault::Registry *(
+            const sim::par::LogicalProcess *)> &registryOf);
 
   private:
+    static constexpr std::uint32_t kNoRoute = ~std::uint32_t{0};
+
+    struct Element;
+
+    /** One directed link out of an element. */
+    struct Port
+    {
+        Element *to;
+        FabricLink *link;
+    };
+
     struct Element
     {
         bool isSwitch = false;
         SwitchParams sw;
         sim::par::LogicalProcess *home = nullptr;
-        std::uint32_t ports = 0;
-        std::vector<std::string> neighbours; ///< sorted by insertion
+        /** Outgoing links, sorted by neighbour name at finalize(). */
+        std::vector<Port> ports;
+        /** Dense id in name order, assigned by finalize(). */
+        std::uint32_t id = 0;
+        /** Endpoints only: row of _nextHop, assigned by finalize(). */
+        std::uint32_t endpoint = kNoRoute;
         sim::Counter relayed;
         sim::Counter relayedBytes;
     };
 
-    struct Hop
+    struct Link
     {
-        FabricLink *link;
-        Element *from;
+        std::unique_ptr<FabricLink> link;
+        Element *src;
+        Element *dst;
     };
-
-    using Path = std::vector<Hop>;
 
     std::string _name;
     sim::EventQueue &_eq;
     std::map<std::string, Element> _elements;
-    // key: "src->dst" directed.
-    std::map<std::string, std::unique_ptr<FabricLink>> _links;
-    // key: "src->dst" endpoint pairs, post-finalize.
-    std::map<std::string, Path> _routes;
+    // key: "src->dst" directed. Every walk over the links (channel
+    // numbering, stats, fault points) goes in this key order.
+    std::map<std::string, Link> _links;
+    /** Post-finalize: elements by id. */
+    std::vector<Element *> _byId;
+    /**
+     * Post-finalize next-hop tables: _nextHop[e][v] indexes element
+     * v's ports with the hop toward destination endpoint e, kNoRoute
+     * where v is e or cannot reach it. Empty when e has no links.
+     */
+    std::vector<std::vector<std::uint32_t>> _nextHop;
     bool _finalized = false;
 
     struct Msg;
-    void step(std::shared_ptr<Msg> msg, std::size_t hop);
+    void step(std::unique_ptr<Msg> msg, Element *at);
 
     Element &element(const std::string &name);
-    sim::EventQueue &queueOf(const std::string &element);
+    sim::EventQueue &queueOf(const Element &e);
+    /**
+     * The endpoints @p src and @p dst when a route joins them
+     * (post-finalize), else a pair of nullptrs.
+     */
+    std::pair<Element *, Element *>
+    routeEnds(const std::string &src, const std::string &dst) const;
 };
 
 } // namespace tf::net

@@ -1,7 +1,5 @@
 #include "os/memory_manager.hh"
 
-#include <algorithm>
-
 namespace tf::os {
 
 MemoryManager::MemoryManager(NumaTopology &topo,
@@ -32,7 +30,7 @@ MemoryManager::sectionOf(mem::Addr addr)
     if (it == _sections.begin())
         return nullptr;
     --it;
-    if (addr < it->second.base + _sectionBytes)
+    if (it->second.online && addr < it->second.base + _sectionBytes)
         return &it->second;
     return nullptr;
 }
@@ -43,25 +41,59 @@ MemoryManager::sectionOf(mem::Addr addr) const
     return const_cast<MemoryManager *>(this)->sectionOf(addr);
 }
 
+void
+MemoryManager::pushFree(Section &s, mem::Addr start, std::uint64_t count)
+{
+    FreeList &fl = _freeLists[static_cast<std::size_t>(s.node)];
+    fl.pages += count;
+    s.freeListed += count;
+    if (!fl.runs.empty()) {
+        FreeRun &back = fl.runs.back();
+        if (back.section == &s && back.generation == s.generation &&
+            back.start + back.count * _pageBytes == start) {
+            back.count += count;
+            return;
+        }
+    }
+    fl.runs.push_back(FreeRun{start, count, &s, s.generation});
+    ++s.liveRuns;
+}
+
+void
+MemoryManager::dropFree(Section &s)
+{
+    FreeList &fl = _freeLists[static_cast<std::size_t>(s.node)];
+    fl.pages -= s.freeListed;
+    fl.staleRuns += s.liveRuns;
+    s.freeListed = 0;
+    s.liveRuns = 0;
+    ++s.generation;
+    // Each compaction removes at least half of what it walks, so
+    // stale runs cost O(1) amortised and the list stays O(live).
+    if (2 * fl.staleRuns > fl.runs.size()) {
+        std::erase_if(fl.runs, [](const FreeRun &r) {
+            return r.generation != r.section->generation;
+        });
+        fl.staleRuns = 0;
+    }
+}
+
 bool
 MemoryManager::onlineSection(NodeId node, mem::Addr base)
 {
     ensureNode(node);
     if (!mem::isAligned(base, _sectionBytes))
         return false;
-    if (_sections.count(base) && _sections[base].online)
-        return false;
-
     Section &s = _sections[base];
+    if (s.online)
+        return false;
     s.base = base;
     s.node = node;
     s.online = true;
     s.pagesInUse = 0;
 
     std::uint64_t pages = _sectionBytes / _pageBytes;
-    auto &fl = _freeLists[static_cast<std::size_t>(node)];
-    for (std::uint64_t i = 0; i < pages; ++i)
-        fl.push_back(base + i * _pageBytes);
+    pushFree(s, base, pages);
     _totalPages[static_cast<std::size_t>(node)] += pages;
     return true;
 }
@@ -76,17 +108,11 @@ MemoryManager::offlineSection(mem::Addr base, bool force)
     if (s.pagesInUse > 0 && !force)
         return false; // pages must be migrated away first
 
-    // Pull the section's pages out of the node free list.
-    auto &fl = _freeLists[static_cast<std::size_t>(s.node)];
-    std::uint64_t pages = _sectionBytes / _pageBytes;
-    fl.erase(std::remove_if(fl.begin(), fl.end(),
-                            [&](mem::Addr p) {
-                                return p >= base &&
-                                       p < base + _sectionBytes;
-                            }),
-             fl.end());
-    _totalPages[static_cast<std::size_t>(s.node)] -= pages;
-    _sections.erase(it);
+    dropFree(s);
+    _totalPages[static_cast<std::size_t>(s.node)] -=
+        _sectionBytes / _pageBytes;
+    s.online = false;
+    s.pagesInUse = 0;
     return true;
 }
 
@@ -103,19 +129,31 @@ MemoryManager::allocPageOn(NodeId node)
     if (node < 0 ||
         static_cast<std::size_t>(node) >= _freeLists.size())
         return std::nullopt;
-    auto &fl = _freeLists[static_cast<std::size_t>(node)];
-    // Frames poisoned while sitting on the free list are retired on
-    // the way out instead of being handed to a new mapping.
-    while (!fl.empty() && _poisoned.count(fl.front()))
-        fl.pop_front();
-    if (fl.empty())
-        return std::nullopt;
-    mem::Addr page = fl.front();
-    fl.pop_front();
-    Section *s = sectionOf(page);
-    TF_ASSERT(s != nullptr, "free page outside any section");
-    ++s->pagesInUse;
-    return page;
+    FreeList &fl = _freeLists[static_cast<std::size_t>(node)];
+    while (!fl.runs.empty()) {
+        FreeRun &r = fl.runs.front();
+        Section &s = *r.section;
+        if (r.generation != s.generation) {
+            fl.runs.pop_front();
+            --fl.staleRuns;
+            continue;
+        }
+        mem::Addr page = r.start;
+        r.start += _pageBytes;
+        --fl.pages;
+        --s.freeListed;
+        if (--r.count == 0) {
+            fl.runs.pop_front();
+            --s.liveRuns;
+        }
+        // Frames poisoned while sitting on the free list are retired
+        // on the way out instead of being handed to a new mapping.
+        if (!_poisoned.empty() && _poisoned.count(page))
+            continue;
+        ++s.pagesInUse;
+        return page;
+    }
+    return std::nullopt;
 }
 
 std::optional<mem::Addr>
@@ -172,14 +210,13 @@ MemoryManager::freePage(mem::Addr page)
         // the frame is gone, there is nothing to return.
         return;
     }
-    TF_ASSERT(s->online, "freeing an unmanaged page");
     TF_ASSERT(s->pagesInUse > 0, "double free in section");
     --s->pagesInUse;
     if (_poisoned.count(page - page % _pageBytes)) {
         // hwpoison: the frame is retired, never handed out again.
         return;
     }
-    _freeLists[static_cast<std::size_t>(s->node)].push_back(page);
+    pushFree(*s, page, 1);
 }
 
 void
@@ -200,13 +237,7 @@ MemoryManager::claimWholeSection(NodeId node)
     for (auto &[base, s] : _sections) {
         if (s.node != node || !s.online || s.pagesInUse != 0)
             continue;
-        auto &fl = _freeLists[static_cast<std::size_t>(node)];
-        fl.erase(std::remove_if(fl.begin(), fl.end(),
-                                [&, b = base](mem::Addr p) {
-                                    return p >= b &&
-                                           p < b + _sectionBytes;
-                                }),
-                 fl.end());
+        dropFree(s);
         s.pagesInUse = _sectionBytes / _pageBytes;
         return base;
     }
@@ -223,9 +254,7 @@ MemoryManager::releaseWholeSection(mem::Addr base)
     TF_ASSERT(s.pagesInUse == _sectionBytes / _pageBytes,
               "section was not fully claimed");
     s.pagesInUse = 0;
-    auto &fl = _freeLists[static_cast<std::size_t>(s.node)];
-    for (std::uint64_t i = 0; i < _sectionBytes / _pageBytes; ++i)
-        fl.push_back(base + i * _pageBytes);
+    pushFree(s, base, _sectionBytes / _pageBytes);
 }
 
 NodeId
@@ -241,7 +270,7 @@ MemoryManager::freePages(NodeId node) const
     if (node < 0 ||
         static_cast<std::size_t>(node) >= _freeLists.size())
         return 0;
-    return _freeLists[static_cast<std::size_t>(node)].size();
+    return _freeLists[static_cast<std::size_t>(node)].pages;
 }
 
 std::uint64_t

@@ -8,6 +8,11 @@
  * runtime. The ThymesisFlow agent probes and onlines a section once
  * the compute endpoint has been configured for it; offline requires
  * all of the section's pages to be free (or migrated away first).
+ *
+ * Each node's free list is a FIFO of page runs, so onlining or
+ * releasing a section appends one run and claiming or offlining one
+ * drops its runs in O(1) by bumping the section's generation. Frames
+ * leave in the order a FIFO of single pages would hand them out.
  */
 
 #ifndef TF_OS_MEMORY_MANAGER_HH
@@ -32,6 +37,14 @@ struct Section
     NodeId node = invalidNode;
     bool online = false;
     std::uint64_t pagesInUse = 0;
+    /**
+     * Free-list bookkeeping. A run tagged with an older generation
+     * is stale: claiming or offlining the section bumps it, which
+     * drops every run of the section from the free list at once.
+     */
+    std::uint64_t generation = 0;
+    std::uint64_t freeListed = 0; ///< frames on the node's free list
+    std::uint64_t liveRuns = 0;   ///< runs tagged with `generation`
 };
 
 class MemoryManager
@@ -122,13 +135,45 @@ class MemoryManager
     NumaTopology &_topo;
     std::uint64_t _sectionBytes;
     std::uint64_t _pageBytes;
-    std::map<mem::Addr, Section> _sections; // by base address
-    std::vector<std::deque<mem::Addr>> _freeLists; // per node
-    std::vector<std::uint64_t> _totalPages;        // per node
+    /**
+     * Consecutive free frames of one section, [start, start + count
+     * pages), pushed while the section was at @p generation.
+     */
+    struct FreeRun
+    {
+        mem::Addr start;
+        std::uint64_t count;
+        Section *section;
+        std::uint64_t generation;
+    };
+
+    /**
+     * One node's free list: a FIFO of runs whose concatenation is
+     * the frame order a per-page FIFO would hand out. Stale runs are
+     * skipped at the front, or compacted away once they are half of
+     * the list.
+     */
+    struct FreeList
+    {
+        std::deque<FreeRun> runs;
+        std::uint64_t pages = 0;     ///< frames on the list
+        std::uint64_t staleRuns = 0; ///< stale runs still queued
+    };
+
+    // By base address. Offlined sections stay (online = false) so the
+    // runs that name them never dangle; onlining reuses the slot.
+    std::map<mem::Addr, Section> _sections;
+    std::vector<FreeList> _freeLists;       // per node
+    std::vector<std::uint64_t> _totalPages; // per node
     std::set<mem::Addr> _poisoned; // retired frames (page-aligned)
     std::uint64_t _nextSpaceId = 1;
 
     void ensureNode(NodeId node);
+    /** Append @p count frames from @p start at the list's back. */
+    void pushFree(Section &s, mem::Addr start, std::uint64_t count);
+    /** Take every frame of @p s off its node's free list. */
+    void dropFree(Section &s);
+    /** The online section holding @p addr, or nullptr. */
     Section *sectionOf(mem::Addr addr);
     const Section *sectionOf(mem::Addr addr) const;
 };

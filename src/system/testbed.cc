@@ -151,7 +151,8 @@ Testbed::registerFaultPoints(sim::fault::Registry &reg)
         _datapath->registerFaultPoints(reg, "tflow");
     if (_cp)
         _cp->registerFaultPoints(reg, "ctrl");
-    _network.registerFaultPoints(reg, "net");
+    _network.registerFaultPoints(
+        "net", [&reg](const sim::par::LogicalProcess *) { return &reg; });
     mem::Dram *donor = &_serverB->dram();
     reg.add("serverB.dram", kindBit(Kind::DramStall),
             [donor](const Event &ev) { donor->stall(ev.duration); });

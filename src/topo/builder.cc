@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "mem/addr.hh"
 #include "sim/logging.hh"
@@ -79,10 +80,8 @@ Instance::~Instance() = default;
 Instance::Group *
 Instance::group(const std::string &nodeName)
 {
-    for (auto &g : _groups)
-        if (g->spec->name == nodeName || g->donorName == nodeName)
-            return g.get();
-    return nullptr;
+    auto it = _groupOf.find(nodeName);
+    return it == _groupOf.end() ? nullptr : it->second;
 }
 
 sys::Node *
@@ -100,10 +99,13 @@ Instance::buildGroups()
 {
     // Donors claimed by a host fold into the host's group (and LP);
     // everything else gets its own.
-    std::map<std::string, const NodeSpec *> claimed;
-    for (const NodeSpec &n : _spec.nodes)
+    std::map<std::string, const NodeSpec *> byName;
+    std::set<std::string> claimed;
+    for (const NodeSpec &n : _spec.nodes) {
+        byName[n.name] = &n;
         if (!n.donor.empty())
-            claimed[n.donor] = &n;
+            claimed.insert(n.donor);
+    }
 
     auto nodeParams = [](const NodeSpec &n) {
         sys::NodeParams np;
@@ -129,7 +131,7 @@ Instance::buildGroups()
         g->node = std::make_unique<sys::Node>(n.name, eq, np);
 
         if (!n.donor.empty()) {
-            const NodeSpec &d = *_spec.node(n.donor);
+            const NodeSpec &d = *byName.at(n.donor);
             g->donorName = d.name;
             g->donatedBytes = d.donatedMiB << 20;
             g->donorNode = std::make_unique<sys::Node>(
@@ -190,6 +192,9 @@ Instance::buildGroups()
                 g->node->attachPageCache(*g->cache);
             }
         }
+        _groupOf[n.name] = g.get();
+        if (!g->donorName.empty())
+            _groupOf[g->donorName] = g.get();
         _groups.push_back(std::move(g));
         ++index;
     }
@@ -272,9 +277,10 @@ Instance::buildFaults()
                     [pc](const Event &) { pc->poisonCleanPage(); });
         }
     }
-    for (std::size_t i = 0; i < _engine->lpCount(); ++i)
-        _fabric->registerFaultPoints(*_faultRegs[i], "fabric",
-                                     &_engine->lp(i));
+    _fabric->registerFaultPoints(
+        "fabric", [this](const sim::par::LogicalProcess *home) {
+            return _faultRegs.at(home->id()).get();
+        });
 
     // Route each scheduled fault to the one LP owning its point.
     std::vector<sim::fault::Plan> plans(_engine->lpCount());

@@ -24,6 +24,7 @@
 #ifndef TF_TOPO_BUILDER_HH
 #define TF_TOPO_BUILDER_HH
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -136,6 +137,8 @@ class Instance
     BuildOptions _opt;
     std::unique_ptr<sim::par::ParallelEngine> _engine;
     std::vector<std::unique_ptr<Group>> _groups;
+    /** Every node's group, by node name (hosts and their donors). */
+    std::map<std::string, Group *> _groupOf;
     std::unique_ptr<net::Fabric> _fabric;
     std::vector<std::unique_ptr<Runner>> _runners;
     /** Per-LP fault plumbing, index = LP id. */

@@ -3,23 +3,14 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <deque>
 #include <fstream>
 #include <initializer_list>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 
 namespace tf::topo {
-
-const NodeSpec *
-Spec::node(const std::string &name) const
-{
-    for (const NodeSpec &n : nodes)
-        if (n.name == name)
-            return &n;
-    return nullptr;
-}
 
 namespace {
 
@@ -207,7 +198,15 @@ parseSpec(const std::string &text, const std::string &origin)
     checkIdent(require(root, "name"), spec.name, "topology");
 
     // --- nodes -------------------------------------------------------
-    std::set<std::string> elementNames; // nodes + switches share it
+    // Nodes and switches share one namespace. Ids follow declaration
+    // order, nodes first, so an id below nodes.size() is a node.
+    std::map<std::string, std::size_t> elementIds;
+    auto nodeNamed = [&spec, &elementIds](const std::string &name) {
+        auto it = elementIds.find(name);
+        return it != elementIds.end() && it->second < spec.nodes.size()
+                   ? &spec.nodes[it->second]
+                   : nullptr;
+    };
     for (const Value &nv : arrayOf(root, "nodes", true).items()) {
         if (!nv.isObject())
             fail(nv, "node entry must be an object");
@@ -216,7 +215,7 @@ parseSpec(const std::string &text, const std::string &origin)
         NodeSpec n;
         n.name = str(require(nv, "name"), "node \"name\"");
         checkIdent(require(nv, "name"), n.name, "node");
-        if (!elementNames.insert(n.name).second)
+        if (!elementIds.emplace(n.name, spec.nodes.size()).second)
             fail(nv, "duplicate name \"" + n.name + "\"");
         n.role = strOr(nv, "role", n.role);
         if (n.role != "host" && n.role != "donor")
@@ -250,12 +249,13 @@ parseSpec(const std::string &text, const std::string &origin)
 
     // Donor references: must exist, be donor-role, claimed once.
     std::set<std::string> claimedDonors;
-    for (const Value &nv : arrayOf(root, "nodes", true).items()) {
-        const std::string name = str(require(nv, "name"), "name");
-        const NodeSpec &n = *spec.node(name);
+    const auto &nodeValues = arrayOf(root, "nodes", true).items();
+    for (std::size_t i = 0; i < nodeValues.size(); ++i) {
+        const Value &nv = nodeValues[i];
+        const NodeSpec &n = spec.nodes[i];
         if (n.donor.empty())
             continue;
-        const NodeSpec *donor = spec.node(n.donor);
+        const NodeSpec *donor = nodeNamed(n.donor);
         if (donor == nullptr)
             fail(nv, "node \"" + n.name +
                          "\" references unknown node \"" + n.donor +
@@ -277,7 +277,7 @@ parseSpec(const std::string &text, const std::string &origin)
         SwitchSpec s;
         s.name = str(require(sv, "name"), "switch \"name\"");
         checkIdent(require(sv, "name"), s.name, "switch");
-        if (!elementNames.insert(s.name).second)
+        if (!elementIds.emplace(s.name, elementIds.size()).second)
             fail(sv, "duplicate name \"" + s.name + "\"");
         s.crossingNs = numOr(sv, "crossingNs", s.crossingNs);
         if (s.crossingNs < 0)
@@ -301,7 +301,7 @@ parseSpec(const std::string &text, const std::string &origin)
         l.a = str(require(lv, "a"), "link \"a\"");
         l.b = str(require(lv, "b"), "link \"b\"");
         for (const std::string &end : {l.a, l.b})
-            if (elementNames.count(end) == 0)
+            if (elementIds.count(end) == 0)
                 fail(lv, "link references unknown node \"" + end +
                              "\"");
         if (l.a == l.b)
@@ -334,30 +334,19 @@ parseSpec(const std::string &text, const std::string &origin)
                            std::to_string(s.radix));
     }
 
-    // Reachability over the undirected element graph, for traffic
-    // validation below.
-    std::map<std::string, std::vector<std::string>> adj;
-    for (const LinkSpec &l : spec.links) {
-        adj[l.a].push_back(l.b);
-        adj[l.b].push_back(l.a);
-    }
-    auto reachable = [&adj](const std::string &from,
-                            const std::string &to) {
-        std::set<std::string> seen{from};
-        std::deque<std::string> frontier{from};
-        while (!frontier.empty()) {
-            std::string cur = frontier.front();
-            frontier.pop_front();
-            if (cur == to)
-                return true;
-            auto it = adj.find(cur);
-            if (it == adj.end())
-                continue;
-            for (const std::string &nb : it->second)
-                if (seen.insert(nb).second)
-                    frontier.push_back(nb);
-        }
-        return false;
+    // Connected components of the undirected element graph (union-
+    // find over the links, once), for traffic validation below.
+    std::vector<std::size_t> component(elementIds.size());
+    std::iota(component.begin(), component.end(), std::size_t{0});
+    auto find = [&component](std::size_t v) {
+        while (component[v] != v)
+            v = component[v] = component[component[v]];
+        return v;
+    };
+    for (const LinkSpec &l : spec.links)
+        component[find(elementIds.at(l.a))] = find(elementIds.at(l.b));
+    auto reachable = [&](const std::string &from, const std::string &to) {
+        return find(elementIds.at(from)) == find(elementIds.at(to));
     };
 
     // --- traffic -----------------------------------------------------
@@ -378,7 +367,8 @@ parseSpec(const std::string &text, const std::string &origin)
             fail(tv, "traffic \"" + t.name +
                          "\" kind must be \"rpc\" or \"memory\"");
         t.src = str(require(tv, "src"), "traffic \"src\"");
-        if (spec.node(t.src) == nullptr)
+        const NodeSpec *srcNode = nodeNamed(t.src);
+        if (srcNode == nullptr)
             fail(tv, "traffic \"" + t.name +
                          "\" references unknown node \"" + t.src +
                          "\"");
@@ -399,7 +389,7 @@ parseSpec(const std::string &text, const std::string &origin)
                          "\" startUs must not be negative");
         if (t.kind == "rpc") {
             t.dst = str(require(tv, "dst"), "traffic \"dst\"");
-            if (spec.node(t.dst) == nullptr)
+            if (nodeNamed(t.dst) == nullptr)
                 fail(tv, "traffic \"" + t.name +
                              "\" references unknown node \"" + t.dst +
                              "\"");
@@ -427,11 +417,10 @@ parseSpec(const std::string &text, const std::string &origin)
             if (t.accessBytes < 1)
                 fail(tv, "traffic \"" + t.name +
                              "\" accessBytes must be >= 1");
-            const NodeSpec &srcNode = *spec.node(t.src);
-            if (srcNode.role != "host")
+            if (srcNode->role != "host")
                 fail(tv, "traffic \"" + t.name + "\" src \"" + t.src +
                              "\" must be a host");
-            if (t.policy != "local" && srcNode.donor.empty())
+            if (t.policy != "local" && srcNode->donor.empty())
                 fail(tv, "traffic \"" + t.name + "\": host \"" +
                              t.src + "\" has no donor, so policy \"" +
                              t.policy + "\" has no remote window");

@@ -172,8 +172,6 @@ struct Spec
      * declared (or the harness enables the timeline) without an
      * explicit "timelineUs". */
     double timelineUs = 50.0;
-
-    const NodeSpec *node(const std::string &name) const;
 };
 
 /** Parse + validate; @p origin names the source for errors. */

@@ -8,7 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <set>
+#include <sstream>
+
 #include "net/switch.hh"
+#include "sim/rng.hh"
 #include "topo/builder.hh"
 #include "topo/spec.hh"
 
@@ -172,6 +179,29 @@ TEST(TopoSpecT, UnreachableEndpoint)
     EXPECT_NE(err.find("unreachable"), std::string::npos) << err;
 }
 
+TEST(TopoSpecT, FirstUnreachableStanzaFailsWithItsPosition)
+{
+    // Two islands; the second and third stanzas both cross between
+    // them, and the error names the second, at its own position.
+    std::string err = expectError(R"({
+  "name": "islands",
+  "nodes": [{"name": "a0", "role": "host"},
+            {"name": "a1", "role": "host"},
+            {"name": "b0", "role": "host"},
+            {"name": "b1", "role": "host"}],
+  "switches": [{"name": "sa"}, {"name": "sb"}],
+  "links": [{"a": "a0", "b": "sa"}, {"a": "a1", "b": "sa"},
+            {"a": "b0", "b": "sb"}, {"a": "b1", "b": "sb"}],
+  "traffic": [
+    {"name": "local", "kind": "rpc", "src": "a0", "dst": "a1"},
+    {"name": "cross", "kind": "rpc", "src": "a1", "dst": "b0"},
+    {"name": "back", "kind": "rpc", "src": "b1", "dst": "a0"}
+  ]
+})");
+    EXPECT_EQ(err, "test.json:12:5: traffic \"cross\": endpoint \"b0\" "
+                   "is unreachable from \"a1\" over the declared links");
+}
+
 TEST(TopoSpecT, TypoedKeyRejected)
 {
     std::string err = expectError(R"({
@@ -258,6 +288,254 @@ TEST(FabricT, RoutesAndHopCounts)
     EXPECT_TRUE(delivered);
     // Both switches forwarded the one message.
     EXPECT_EQ(fabric.relayedMessages(), 2u);
+}
+
+namespace {
+
+/** An element graph: endpoints, switches and undirected links. */
+struct FabricGraph
+{
+    std::vector<std::string> endpoints;
+    std::vector<std::string> switches;
+    std::vector<std::pair<std::string, std::string>> links;
+};
+
+using NameGraph = std::map<std::string, std::set<std::string>>;
+
+/**
+ * Reference route over names: BFS from @p dst gives hop counts, then
+ * each step from @p src goes to the neighbour one hop closer whose
+ * name sorts first. Returns the "a->b" link keys along the route;
+ * empty when @p src == @p dst or it cannot reach @p dst.
+ */
+std::vector<std::string>
+referenceRoute(const NameGraph &g, const std::string &src,
+               const std::string &dst)
+{
+    std::map<std::string, std::size_t> dist{{dst, 0}};
+    std::deque<std::string> frontier{dst};
+    while (!frontier.empty()) {
+        std::string at = frontier.front();
+        frontier.pop_front();
+        for (const std::string &nb : g.at(at))
+            if (dist.emplace(nb, dist.at(at) + 1).second)
+                frontier.push_back(nb);
+    }
+    std::vector<std::string> route;
+    if (src == dst || dist.count(src) == 0)
+        return route;
+    for (std::string at = src; at != dst;) {
+        for (const std::string &nb : g.at(at)) {
+            auto it = dist.find(nb);
+            if (it != dist.end() && it->second + 1 == dist.at(at)) {
+                route.push_back(at + "->" + nb);
+                at = nb;
+                break;
+            }
+        }
+    }
+    return route;
+}
+
+/**
+ * Build @p g as a Fabric and check every ordered endpoint pair against
+ * referenceRoute(): reachable(), hopCount(), and the links whose
+ * message counters move when one message is sent.
+ */
+void
+checkRoutes(const FabricGraph &g)
+{
+    sim::EventQueue eq;
+    net::Fabric fabric("f", eq);
+    NameGraph names;
+    for (const std::string &e : g.endpoints) {
+        fabric.addEndpoint(e);
+        names[e];
+    }
+    for (const std::string &s : g.switches) {
+        net::SwitchParams sp;
+        sp.radix = 64;
+        fabric.addSwitch(s, sp);
+        names[s];
+    }
+    for (const auto &[a, b] : g.links) {
+        fabric.connect(a, b, net::FabricLinkParams{});
+        names[a].insert(b);
+        names[b].insert(a);
+    }
+    fabric.finalize();
+
+    // Links are visited in "src->dst" string order.
+    std::vector<std::pair<std::string, const net::FabricLink *>> links;
+    fabric.forEachLink([&](const std::string &key, net::FabricLink &l,
+                           sim::par::LogicalProcess *) {
+        links.emplace_back(key, &l);
+    });
+    ASSERT_EQ(links.size(), 2 * g.links.size());
+    for (std::size_t i = 1; i < links.size(); ++i)
+        ASSERT_LT(links[i - 1].first, links[i].first);
+
+    for (const std::string &src : g.endpoints) {
+        for (const std::string &dst : g.endpoints) {
+            SCOPED_TRACE(src + " to " + dst);
+            std::vector<std::string> want = referenceRoute(names, src, dst);
+            EXPECT_EQ(fabric.reachable(src, dst), !want.empty());
+            EXPECT_EQ(fabric.hopCount(src, dst), want.size());
+            if (want.empty())
+                continue;
+            std::vector<std::uint64_t> before;
+            for (const auto &kv : links)
+                before.push_back(kv.second->messages());
+            bool delivered = false;
+            fabric.send(src, dst, 64, [&] { delivered = true; });
+            eq.run();
+            EXPECT_TRUE(delivered);
+            std::vector<std::string> moved;
+            for (std::size_t i = 0; i < links.size(); ++i)
+                if (links[i].second->messages() != before[i])
+                    moved.push_back(links[i].first);
+            std::sort(want.begin(), want.end());
+            EXPECT_EQ(moved, want);
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
+}
+
+/**
+ * A seeded random switch mesh (a spanning tree plus extra links, so
+ * equal-cost paths abound) with endpoints attached to one or two
+ * switches, a direct endpoint link, and one isolated endpoint. Names
+ * carry characters that sort below '-', so name order and
+ * "src->dst" key order disagree with (src id, dst id) order.
+ */
+FabricGraph
+randomMesh(std::uint64_t seed)
+{
+    sim::Rng rng(seed);
+    static const char *kTags[] = {"", "!", ",", "_", "x"};
+    auto name = [&](const char *stem, std::uint64_t i) {
+        return std::string(stem) + kTags[rng.below(5)] + std::to_string(i);
+    };
+    FabricGraph g;
+    std::uint64_t switches = 3 + rng.below(6);
+    std::uint64_t endpoints = 4 + rng.below(9);
+    for (std::uint64_t i = 0; i < switches; ++i)
+        g.switches.push_back(name("s", i));
+    for (std::uint64_t i = 0; i < endpoints; ++i)
+        g.endpoints.push_back(name("e", i));
+    std::set<std::pair<std::string, std::string>> seen;
+    auto link = [&](const std::string &a, const std::string &b) {
+        if (a != b && seen.count({b, a}) == 0 && seen.insert({a, b}).second)
+            g.links.emplace_back(a, b);
+    };
+    auto anySwitch = [&] { return g.switches[rng.below(switches)]; };
+    for (std::uint64_t i = 1; i < switches; ++i)
+        link(g.switches[i], g.switches[rng.below(i)]);
+    for (std::uint64_t i = 0; i < switches; ++i)
+        link(anySwitch(), anySwitch());
+    for (const std::string &e : g.endpoints) {
+        link(e, anySwitch());
+        if (rng.chance(0.4))
+            link(anySwitch(), e);
+    }
+    link(g.endpoints[0], g.endpoints[1]);
+    g.endpoints.push_back("lone");
+    return g;
+}
+
+} // namespace
+
+TEST(FabricRoutingT, RandomMeshesMatchReferenceBfs)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        checkRoutes(randomMesh(seed));
+        if (HasFailure())
+            return;
+    }
+}
+
+TEST(FabricRoutingT, TiesGoToTheNeighbourFirstByName)
+{
+    // Two equal-cost paths a -> {s!, s1} -> b: "s!" sorts before "s1"
+    // ('!' < '1'), in both directions.
+    FabricGraph g{{"a", "b"},
+                  {"s1", "s!"},
+                  {{"a", "s1"}, {"a", "s!"}, {"s1", "b"}, {"s!", "b"}}};
+    checkRoutes(g);
+    NameGraph names{{"a", {"s1", "s!"}},
+                    {"b", {"s1", "s!"}},
+                    {"s1", {"a", "b"}},
+                    {"s!", {"a", "b"}}};
+    EXPECT_EQ(referenceRoute(names, "a", "b"),
+              (std::vector<std::string>{"a->s!", "s!->b"}));
+}
+
+#ifdef TF_TOPO_CONFIG_DIR
+namespace {
+
+FabricGraph
+graphOf(const Spec &spec)
+{
+    FabricGraph g;
+    for (const auto &n : spec.nodes)
+        g.endpoints.push_back(n.name);
+    for (const auto &s : spec.switches)
+        g.switches.push_back(s.name);
+    for (const auto &l : spec.links)
+        g.links.emplace_back(l.a, l.b);
+    return g;
+}
+
+} // namespace
+
+TEST(FabricRoutingT, CheckedInConfigsMatchReferenceBfs)
+{
+    for (const char *f : {"ring.json", "chain.json", "fullmesh.json",
+                          "noisy_neighbor.json"}) {
+        SCOPED_TRACE(f);
+        checkRoutes(graphOf(topo::loadSpecFile(
+            std::string(TF_TOPO_CONFIG_DIR) + "/" + f)));
+    }
+}
+#endif
+
+TEST(FabricRoutingT, GeneratedRingHopCountsAreRingDistances)
+{
+    // Host h<i> hangs off switch s<i>; the switches form a ring. Each
+    // route is host link + the shorter way round + host link.
+    constexpr unsigned kPairs = 256;
+    std::ostringstream os;
+    os << "{\"name\": \"ring\", \"nodes\": [";
+    for (unsigned i = 0; i < kPairs; ++i)
+        os << (i ? ", " : "") << "{\"name\": \"h" << i
+           << "\", \"role\": \"host\"}";
+    os << "], \"switches\": [";
+    for (unsigned i = 0; i < kPairs; ++i)
+        os << (i ? ", " : "") << "{\"name\": \"s" << i
+           << "\", \"radix\": 3}";
+    os << "], \"links\": [";
+    for (unsigned i = 0; i < kPairs; ++i)
+        os << (i ? ", " : "") << "{\"a\": \"h" << i << "\", \"b\": \"s"
+           << i << "\"}, {\"a\": \"s" << i << "\", \"b\": \"s"
+           << (i + 1) % kPairs << "\"}";
+    os << "]}";
+    Spec spec = topo::parseSpec(os.str(), "ring.json");
+    topo::Instance inst(spec, topo::BuildOptions{});
+    net::Fabric &fabric = inst.fabric();
+    std::vector<std::string> hosts;
+    for (const topo::NodeSpec &n : spec.nodes)
+        hosts.push_back(n.name);
+    for (unsigned i = 0; i < kPairs; ++i) {
+        for (unsigned j = 0; j < kPairs; ++j) {
+            unsigned d = i > j ? i - j : j - i;
+            std::size_t want = i == j ? 0 : 2 + std::min(d, kPairs - d);
+            ASSERT_EQ(fabric.hopCount(hosts[i], hosts[j]), want)
+                << hosts[i] << " " << hosts[j];
+            ASSERT_EQ(fabric.reachable(hosts[i], hosts[j]), i != j);
+        }
+    }
 }
 
 TEST(FabricT, OversubscribedEgressQueues)
