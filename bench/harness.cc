@@ -194,6 +194,8 @@ ScenarioContext::toJson(double wallMs) const
     w.field("seed", _seed);
     w.field("gitSha", gitSha());
     w.field("config", _smoke ? "smoke" : "full");
+    if (_cutThrough)
+        w.field("cutThrough", *_cutThrough);
     w.field("simTicks", _simTicks);
     w.field("events", _events);
     if (wallMs >= 0) {
@@ -309,9 +311,11 @@ usage(const char *argv0)
                  "                   whenever they declare monitors\n"
                  "  --cut-through on|off\n"
                  "                   override the response-framing\n"
-                 "                   mode for scenarios that honour\n"
-                 "                   it (default: FlowParams default,\n"
-                 "                   i.e. cut-through on)\n",
+                 "                   mode of every datapath a run\n"
+                 "                   builds, except ablation_llc's\n"
+                 "                   grid, which pins it on (default:\n"
+                 "                   FlowParams default, i.e. on);\n"
+                 "                   recorded as meta.cutThrough\n",
                  argv0);
     return 2;
 }

@@ -44,28 +44,6 @@ inline const std::vector<sys::Setup> streamSetups = {
     sys::Setup::Interleaved,
 };
 
-struct Bed
-{
-    std::unique_ptr<sim::EventQueue> eq;
-    std::unique_ptr<sys::Testbed> testbed;
-};
-
-/** Fresh testbed per data point so runs are independent. */
-inline Bed
-makeBed(sys::Setup setup, std::uint64_t donated,
-        std::uint64_t cacheBytes, std::uint64_t seed)
-{
-    Bed bed;
-    bed.eq = std::make_unique<sim::EventQueue>();
-    sys::TestbedParams tp;
-    tp.setup = setup;
-    tp.donatedBytes = donated;
-    tp.node.cache = mem::CacheParams{cacheBytes, 8, 128};
-    tp.seed = seed;
-    bed.testbed = std::make_unique<sys::Testbed>(*bed.eq, tp);
-    return bed;
-}
-
 /**
  * Everything one scenario run produces. Scenarios add headline
  * metrics and register component stats; the harness serialises the
@@ -104,8 +82,8 @@ class ScenarioContext
 
     /**
      * Response-framing override (--cut-through on|off). Unset means
-     * the FlowParams default; scenarios that build datapaths apply it
-     * so the same binary can A/B the framing modes without a rebuild.
+     * the FlowParams default; the same binary can A/B the framing
+     * modes without a rebuild.
      */
     std::optional<bool> cutThroughOverride() const
     {
@@ -115,11 +93,17 @@ class ScenarioContext
     {
         _cutThrough = v;
     }
-    /** Apply the override (if any) to a FlowParams in place. */
-    void applyFlowOverrides(flow::FlowParams &fp) const
+    /**
+     * Default FlowParams with the override (if any) applied. Every
+     * datapath a scenario builds starts from these, so the flag
+     * reaches every bed.
+     */
+    flow::FlowParams flowParams() const
     {
+        flow::FlowParams fp;
         if (_cutThrough)
             fp.cutThrough = *_cutThrough;
+        return fp;
     }
 
     /**
@@ -227,6 +211,29 @@ class ScenarioContext
     std::uint64_t _simTicks = 0;
     std::uint64_t _events = 0;
 };
+
+struct Bed
+{
+    std::unique_ptr<sim::EventQueue> eq;
+    std::unique_ptr<sys::Testbed> testbed;
+};
+
+/** Fresh testbed per data point so runs are independent. */
+inline Bed
+makeBed(const ScenarioContext &sub, sys::Setup setup,
+        std::uint64_t donated, std::uint64_t cacheBytes)
+{
+    Bed bed;
+    bed.eq = std::make_unique<sim::EventQueue>();
+    sys::TestbedParams tp;
+    tp.setup = setup;
+    tp.donatedBytes = donated;
+    tp.node.cache = mem::CacheParams{cacheBytes, 8, 128};
+    tp.seed = sub.seed();
+    tp.flow = sub.flowParams();
+    bed.testbed = std::make_unique<sys::Testbed>(*bed.eq, tp);
+    return bed;
+}
 
 /** A named, deterministic benchmark scenario. */
 struct Scenario

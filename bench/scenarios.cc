@@ -241,7 +241,7 @@ struct Rig
     ocapi::PasidRegistry pasids;
     std::unique_ptr<flow::Datapath> dp;
 
-    explicit Rig(std::uint64_t seed, flow::FlowParams params = {},
+    explicit Rig(std::uint64_t seed, flow::FlowParams params,
                  mem::DramParams dparams = {})
         : rng(seed)
     {
@@ -309,9 +309,7 @@ protoRttPoint(ScenarioContext &sub)
     mem::DramParams dparams;
     dparams.accessLatency = 0;
     dparams.bandwidthBps = 1e15;
-    flow::FlowParams fp;
-    sub.applyFlowOverrides(fp);
-    Rig rig(sub.seed(), fp, dparams);
+    Rig rig(sub.seed(), sub.flowParams(), dparams);
     // Spans always on: this point feeds the trace.attr.* latency
     // gates, which must exist in plain smoke runs, not only --trace.
     rig.eq.trace().setFull(true);
@@ -337,9 +335,7 @@ protoBandwidthPoint(ScenarioContext &sub, const std::string &prefix,
                     mem::Addr base, bool quantiles, int warmup,
                     int total)
 {
-    flow::FlowParams fp;
-    sub.applyFlowOverrides(fp);
-    Rig rig(sub.seed(), fp);
+    Rig rig(sub.seed(), sub.flowParams());
     // Only the quantile (single-flow) point records spans: pooling
     // attribution across load levels would blur the stage medians.
     // It records them unconditionally — the loaded-point p99 table is
@@ -469,9 +465,8 @@ void
 interleavePoint(ScenarioContext &sub, int localShare,
                 std::uint64_t elements)
 {
-    auto bed = makeBed(sys::Setup::SingleDisaggregated,
-                       256ULL * 1024 * 1024, 4ULL * 1024 * 1024,
-                       sub.seed());
+    auto bed = makeBed(sub, sys::Setup::SingleDisaggregated,
+                       256ULL * 1024 * 1024, 4ULL * 1024 * 1024);
     sim::EventQueue &eq = *bed.eq;
     sys::Node &node = bed.testbed->serverA();
     const std::string prefix =
@@ -546,7 +541,7 @@ runAblationLlc(ScenarioContext &ctx)
     std::vector<std::function<void(ScenarioContext &)>> points;
     for (std::uint32_t credits : {2u, 4u, 8u, 16u, 64u}) {
         points.push_back([=](ScenarioContext &sub) {
-            flow::FlowParams fp;
+            flow::FlowParams fp = sub.flowParams();
             fp.rxQueueFrames = credits;
             fp.replayBufferFrames = std::max(credits * 4, 64u);
             const std::string p = "credits" + std::to_string(credits);
@@ -562,7 +557,7 @@ runAblationLlc(ScenarioContext &ctx)
         {0.05, "loss5pct"}};
     for (auto [rate, name] : losses) {
         points.push_back([=](ScenarioContext &sub) {
-            flow::FlowParams fp;
+            flow::FlowParams fp = sub.flowParams();
             fp.frameErrorRate = rate;
             fp.ackTimeout = sim::microseconds(10);
             auto rig = llcReadStream(sub, name, fp, lossTotal, false);
@@ -676,7 +671,7 @@ swapPoint(ScenarioContext &sub, const std::string &prefix,
     sim::Rng rng(sub.seed());
     mem::Dram donor("donorDram", eq, mem::DramParams{}, nullptr);
     ocapi::PasidRegistry pasids;
-    flow::Datapath dp("dp", eq, flow::FlowParams{},
+    flow::Datapath dp("dp", eq, sub.flowParams(),
                       ocapi::M1Window{kWindowBase, kWindowSize}, pasids,
                       donor, rng, kSection);
     auto pasid = pasids.allocate();
@@ -764,8 +759,8 @@ runFig05Stream(ScenarioContext &ctx)
             const char *name = sys::setupName(pt.setup);
             // Small cache (4 MiB) vs the streaming arrays: streaming
             // defeats the cache as in the real setup.
-            auto bed = makeBed(pt.setup, 256ULL * 1024 * 1024,
-                               4ULL * 1024 * 1024, sub.seed());
+            auto bed = makeBed(sub, pt.setup, 256ULL * 1024 * 1024,
+                               4ULL * 1024 * 1024);
             std::string point =
                 std::string(apps::streamKernelName(pt.kernel)) +
                 std::to_string(pt.threads) + "t." + name;
@@ -830,8 +825,8 @@ runFig06VoltdbProfile(ScenarioContext &ctx)
         YcsbWorkload wl = workloads[i / 2 / partitionCounts.size()];
         int partitions = partitionCounts[i / 2 % partitionCounts.size()];
         sys::Setup setup = setups[i % 2];
-        auto bed = makeBed(setup, 512ULL * 1024 * 1024,
-                           64ULL * 1024 * 1024, sub.seed());
+        auto bed = makeBed(sub, setup, 512ULL * 1024 * 1024,
+                           64ULL * 1024 * 1024);
         std::string point = std::string(apps::ycsbName(wl)) + "." +
                             std::to_string(partitions) + "p." +
                             sys::setupName(setup);
@@ -888,8 +883,8 @@ runFig07Ycsb(ScenarioContext &ctx)
     ctx.runPoints(
         points.size(), [&](ScenarioContext &sub, std::size_t i) {
             const Point &pt = points[i];
-            auto bed = makeBed(pt.setup, 512ULL * 1024 * 1024,
-                               64ULL * 1024 * 1024, sub.seed());
+            auto bed = makeBed(sub, pt.setup, 512ULL * 1024 * 1024,
+                               64ULL * 1024 * 1024);
             std::string point =
                 std::string(apps::ycsbName(pt.workload)) + "." +
                 std::to_string(pt.partitions) + "p." +
@@ -932,8 +927,8 @@ runFig08Memcached(ScenarioContext &ctx)
         allSetups.size(), [&](ScenarioContext &sub, std::size_t i) {
             sys::Setup setup = allSetups[i];
             const char *name = sys::setupName(setup);
-            auto bed = makeBed(setup, 512ULL * 1024 * 1024,
-                               8ULL * 1024 * 1024, sub.seed());
+            auto bed = makeBed(sub, setup, 512ULL * 1024 * 1024,
+                               8ULL * 1024 * 1024);
             bed.testbed->registerStats(sub.registry(), name);
             bed.eq->attachStats(sub.registry().at(std::string(name) + ".eq"));
             apps::MemcachedParams mp;
@@ -1000,8 +995,8 @@ runFig09Elastic(ScenarioContext &ctx)
     ctx.runPoints(
         cells.size(), [&](ScenarioContext &sub, std::size_t i) {
             const Cell &cell = cells[i];
-            auto bed = makeBed(cell.setup, 768ULL * 1024 * 1024,
-                               64ULL * 1024 * 1024, sub.seed());
+            auto bed = makeBed(sub, cell.setup, 768ULL * 1024 * 1024,
+                               64ULL * 1024 * 1024);
             std::string point =
                 std::string(
                     apps::esChallengeName(cell.point.challenge)) +
@@ -1053,6 +1048,7 @@ runParallelScale(ScenarioContext &ctx)
 
     sys::RackParams rp;
     rp.racks = 8;
+    rp.flow = ctx.flowParams();
     const auto shards = dc::shardTrace(gen.generate(), rp.racks);
 
     struct Leg
@@ -1188,6 +1184,7 @@ faultSoakPoint(ScenarioContext &sub, std::size_t point, int totalOps)
     tp.donatedBytes = 64ULL * 1024 * 1024;
     tp.node.cache = mem::CacheParams{4ULL * 1024 * 1024, 8, 128};
     tp.seed = sub.seed();
+    tp.flow = sub.flowParams();
     tp.flow.requestDeadline = deadline;
     // Escalate quickly (4 x 5 us of ack silence = link down) so the
     // scripted flaps walk the whole repair ladder inside the soak's
@@ -1195,8 +1192,6 @@ faultSoakPoint(ScenarioContext &sub, std::size_t point, int totalOps)
     tp.flow.ackTimeout = sim::microseconds(5);
     tp.flow.maxReplayRounds = 4;
     auto bed = std::make_unique<sys::Testbed>(*eq, tp);
-    bed->controlPlane().setHoldDown(*eq, sim::microseconds(5),
-                                    sim::microseconds(80));
     if (sub.traceEnabled()) {
         eq->trace().setFull(true);
         eq->trace().setIdTag(static_cast<std::uint32_t>(point) + 1);
@@ -1542,6 +1537,7 @@ cacheVsMigrationPoint(ScenarioContext &sub, std::size_t point,
     tp.node.pageBytes = kPageBytes;
     tp.node.cache = mem::CacheParams{4ULL * 1024 * 1024, 8, 128};
     tp.seed = sub.seed();
+    tp.flow = sub.flowParams();
     if (pt.mode == CvmMode::Cache) {
         tp.enablePageCache = true;
         tp.pageCache.frameBudget = kBudget;
@@ -1761,9 +1757,8 @@ runAblationAutonuma(ScenarioContext &ctx)
     ctx.runPoints(2, [&](ScenarioContext &sub, std::size_t i) {
         const bool migrate = i == 1;
         const std::string prefix = migrate ? "on" : "off";
-        auto bed = makeBed(sys::Setup::SingleDisaggregated,
-                           256ULL * 1024 * 1024, 2ULL * 1024 * 1024,
-                           sub.seed());
+        auto bed = makeBed(sub, sys::Setup::SingleDisaggregated,
+                           256ULL * 1024 * 1024, 2ULL * 1024 * 1024);
         sim::EventQueue &eq = *bed.eq;
         sys::Node &node = bed.testbed->serverA();
         bed.testbed->registerStats(sub.registry(), prefix);

@@ -166,23 +166,6 @@ VoltDbBenchmark::rowAddrs(const Partition &p, std::uint64_t row,
     return addrs;
 }
 
-double
-VoltDbBenchmark::instrFor(DbOpType op) const
-{
-    switch (op) {
-      case DbOpType::Read:
-        return _params.readInstr;
-      case DbOpType::Update:
-      case DbOpType::Insert:
-        return _params.writeInstr;
-      case DbOpType::Scan:
-        return _params.scanInstrPerRow * _params.scanRows;
-      case DbOpType::ReadModifyWrite:
-        return _params.readInstr + _params.writeInstr;
-    }
-    return 0;
-}
-
 void
 VoltDbBenchmark::runOp(Partition &p, DbOpType op, std::uint64_t row,
                        std::function<void(std::uint64_t)> done)

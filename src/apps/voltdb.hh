@@ -138,7 +138,6 @@ class VoltDbBenchmark
                                     std::uint64_t row, int rows) const;
     std::vector<mem::Addr> indexAddrs(const Partition &p,
                                       std::uint64_t row) const;
-    double instrFor(DbOpType op) const;
 };
 
 } // namespace tf::apps

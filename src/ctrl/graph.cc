@@ -54,14 +54,6 @@ PropertyGraph::removeVertex(VertexId v)
     _vertices.erase(v);
 }
 
-const Vertex &
-PropertyGraph::vertex(VertexId v) const
-{
-    auto it = _vertices.find(v);
-    TF_ASSERT(it != _vertices.end(), "unknown vertex");
-    return it->second;
-}
-
 Vertex &
 PropertyGraph::vertex(VertexId v)
 {

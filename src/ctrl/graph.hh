@@ -72,7 +72,6 @@ class PropertyGraph
     void removeVertex(VertexId v); ///< also removes incident edges
     void removeEdge(EdgeId e);
 
-    const Vertex &vertex(VertexId v) const;
     Vertex &vertex(VertexId v);
     const Edge &edge(EdgeId e) const;
 

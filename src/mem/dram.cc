@@ -221,15 +221,11 @@ Dram::stall(sim::Tick duration)
 }
 
 void
-Dram::reportStats(sim::StatSet &out) const
+Dram::registerFaultPoints(sim::fault::Registry &reg,
+                          const std::string &name)
 {
-    out.record("reads", static_cast<double>(_reads.value()), "txns");
-    out.record("writes", static_cast<double>(_writes.value()), "txns");
-    out.record("bytes", static_cast<double>(_bytes.value()), "B");
-    out.record("rowHits", static_cast<double>(_rowHits.value()), "txns");
-    out.record("rowMisses", static_cast<double>(_rowMisses.value()),
-               "txns");
-    out.record("reorders", static_cast<double>(_reorders.value()), "txns");
+    reg.add(name, sim::fault::kindBit(sim::fault::Kind::DramStall),
+            [this](const sim::fault::Event &ev) { stall(ev.duration); });
 }
 
 void

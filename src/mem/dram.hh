@@ -25,6 +25,7 @@
 
 #include "mem/backing_store.hh"
 #include "mem/transaction.hh"
+#include "sim/fault/fault.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -137,10 +138,12 @@ class Dram : public sim::SimObject
         return _bankStats.at(bank);
     }
 
-    void reportStats(sim::StatSet &out) const;
-
     /** Attach read/write/byte counters for telemetry export. */
     void attachStats(sim::StatSet &set);
+
+    /** Register the "<name>" DramStall fault point. */
+    void registerFaultPoints(sim::fault::Registry &reg,
+                             const std::string &name);
 
   private:
     struct Pending

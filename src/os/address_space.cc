@@ -56,15 +56,6 @@ AddressSpace::translate(mem::Addr vaddr)
     return it->second + (vaddr % _mm.pageBytes());
 }
 
-std::optional<mem::Addr>
-AddressSpace::frameOf(mem::Addr vaddr) const
-{
-    auto it = _pageTable.find(vpn(vaddr));
-    if (it == _pageTable.end())
-        return std::nullopt;
-    return it->second;
-}
-
 NodeId
 AddressSpace::nodeOf(mem::Addr vaddr)
 {

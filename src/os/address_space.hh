@@ -52,9 +52,6 @@ class AddressSpace
      */
     std::optional<mem::Addr> translate(mem::Addr vaddr);
 
-    /** Physical frame of a mapped virtual page (no fault-in). */
-    std::optional<mem::Addr> frameOf(mem::Addr vaddr) const;
-
     /** NUMA node currently backing @p vaddr (faults the page in). */
     NodeId nodeOf(mem::Addr vaddr);
 

@@ -539,6 +539,14 @@ PageCache::poisonCleanPage()
 }
 
 void
+PageCache::registerFaultPoints(sim::fault::Registry &reg,
+                               const std::string &name)
+{
+    reg.add(name, sim::fault::kindBit(sim::fault::Kind::CachePoison),
+            [this](const sim::fault::Event &) { poisonCleanPage(); });
+}
+
+void
 PageCache::flushAll()
 {
     for (std::uint32_t idx = 0; idx < _params.frameBudget; ++idx) {

@@ -41,6 +41,7 @@
 #include "mem/dram.hh"
 #include "mem/transaction.hh"
 #include "os/memory_manager.hh"
+#include "sim/fault/fault.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -118,6 +119,10 @@ class PageCache : public sim::SimObject
      * @return true when a frame was poisoned.
      */
     bool poisonCleanPage();
+
+    /** Register the "<name>" CachePoison fault point. */
+    void registerFaultPoints(sim::fault::Registry &reg,
+                             const std::string &name);
 
     /** Write back every dirty resident page (test/teardown aid). */
     void flushAll();

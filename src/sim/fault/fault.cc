@@ -28,16 +28,6 @@ Plan::flap(Tick at, const std::string &point, Tick downFor)
 }
 
 Plan &
-Plan::fail(Tick at, const std::string &point)
-{
-    Event ev;
-    ev.at = at;
-    ev.kind = Kind::ChannelFail;
-    ev.point = point;
-    return add(std::move(ev));
-}
-
-Plan &
 Plan::burst(Tick at, const std::string &point, Tick duration,
             const GilbertElliott &ge)
 {
@@ -93,16 +83,6 @@ Plan::outage(Tick at, const std::string &point, Tick duration)
     ev.kind = Kind::ControlOutage;
     ev.point = point;
     ev.duration = duration;
-    return add(std::move(ev));
-}
-
-Plan &
-Plan::poison(Tick at, const std::string &point)
-{
-    Event ev;
-    ev.at = at;
-    ev.kind = Kind::CachePoison;
-    ev.point = point;
     return add(std::move(ev));
 }
 

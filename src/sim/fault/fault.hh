@@ -122,7 +122,6 @@ class Plan
 
     /** Convenience builders for the common shapes. */
     Plan &flap(Tick at, const std::string &point, Tick downFor);
-    Plan &fail(Tick at, const std::string &point);
     Plan &burst(Tick at, const std::string &point, Tick duration,
                 const GilbertElliott &ge);
     Plan &spike(Tick at, const std::string &point, Tick duration,
@@ -130,7 +129,6 @@ class Plan
     Plan &stall(Tick at, const std::string &point, Tick duration);
     Plan &starve(Tick at, const std::string &point, Tick duration);
     Plan &outage(Tick at, const std::string &point, Tick duration);
-    Plan &poison(Tick at, const std::string &point);
 
     const std::vector<Event> &events() const { return _events; }
     bool empty() const { return _events.empty(); }

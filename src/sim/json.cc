@@ -171,13 +171,6 @@ JsonWriter::value(std::uint64_t v)
 }
 
 void
-JsonWriter::value(std::int64_t v)
-{
-    beforeValue();
-    _os << v;
-}
-
-void
 JsonWriter::value(int v)
 {
     beforeValue();

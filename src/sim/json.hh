@@ -38,7 +38,6 @@ class JsonWriter
     void value(const char *s);
     void value(double v);
     void value(std::uint64_t v);
-    void value(std::int64_t v);
     void value(int v);
     void value(bool v);
     void valueNull();

@@ -93,17 +93,6 @@ warn(const char *fmt, ...)
 }
 
 void
-inform(const char *fmt, ...)
-{
-    if (g_level < LogLevel::Inform)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    emit("info", fmt, args);
-    va_end(args);
-}
-
-void
 debug(const char *fmt, ...)
 {
     if (g_level < LogLevel::Debug)

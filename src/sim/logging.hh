@@ -4,7 +4,8 @@
  *
  * panic()  -- internal simulator bug; aborts.
  * fatal()  -- user/configuration error; exits cleanly with an error code.
- * warn()/inform() -- status messages that never stop the simulation.
+ * warn()   -- status message that never stops the simulation.
+ * debug()  -- detail shown only at LogLevel::Debug.
  */
 
 #ifndef TF_SIM_LOGGING_HH
@@ -16,7 +17,7 @@
 namespace tf::sim {
 
 /** Verbosity levels for status messages. */
-enum class LogLevel { Silent = 0, Warn = 1, Inform = 2, Debug = 3 };
+enum class LogLevel { Silent = 0, Warn = 1, Debug = 2 };
 
 /** Set the global verbosity threshold (default: Warn). */
 void setLogLevel(LogLevel level);
@@ -40,9 +41,6 @@ LogLevel logLevel();
 
 /** Report a suspicious-but-survivable condition. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report normal operating status. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Report debug-level detail. */
 void debug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

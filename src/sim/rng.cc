@@ -78,14 +78,6 @@ Rng::below(std::uint64_t n)
     return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t
-Rng::range(std::int64_t lo, std::int64_t hi)
-{
-    TF_ASSERT(lo <= hi, "bad range");
-    return lo + static_cast<std::int64_t>(
-        below(static_cast<std::uint64_t>(hi - lo) + 1));
-}
-
 bool
 Rng::chance(double p)
 {

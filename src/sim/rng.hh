@@ -37,9 +37,6 @@ class Rng
     /** Uniform integer in [0, n). @pre n > 0. */
     std::uint64_t below(std::uint64_t n);
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t range(std::int64_t lo, std::int64_t hi);
-
     /** Bernoulli trial with probability @p p of true. */
     bool chance(double p);
 

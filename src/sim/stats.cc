@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <iomanip>
 #include <sstream>
 
 #include "sim/json.hh"
@@ -93,49 +92,6 @@ SampleStat::writeCdf(std::ostream &os, std::size_t points) const
         double q = static_cast<double>(i) / static_cast<double>(points);
         os << quantile(q) << ' ' << q << '\n';
     }
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : _lo(lo), _hi(hi),
-      _width((hi - lo) / static_cast<double>(buckets)),
-      _buckets(buckets, 0)
-{
-    TF_ASSERT(hi > lo && buckets > 0, "bad histogram bounds");
-}
-
-void
-Histogram::add(double x, std::uint64_t weight)
-{
-    _count += weight;
-    if (x < _lo) {
-        _under += weight;
-    } else if (x >= _hi) {
-        _over += weight;
-    } else {
-        auto idx = static_cast<std::size_t>((x - _lo) / _width);
-        if (idx >= _buckets.size())
-            idx = _buckets.size() - 1; // float edge case at x ~= hi
-        _buckets[idx] += weight;
-    }
-}
-
-void
-Histogram::reset()
-{
-    std::fill(_buckets.begin(), _buckets.end(), 0);
-    _under = _over = _count = 0;
-}
-
-double
-Histogram::bucketLo(std::size_t i) const
-{
-    return _lo + _width * static_cast<double>(i);
-}
-
-double
-Histogram::bucketHi(std::size_t i) const
-{
-    return bucketLo(i) + _width;
 }
 
 // -------------------------------------------------- QuantileSketch
@@ -287,13 +243,6 @@ StatSet::attach(const std::string &name, SampleStat &s,
 }
 
 void
-StatSet::attach(const std::string &name, Histogram &h,
-                const std::string &unit, const std::string &desc)
-{
-    _attached.push_back(Attachment{name, desc, unit, &h, {}});
-}
-
-void
 StatSet::attach(const std::string &name, QuantileSketch &q,
                 const std::string &unit, const std::string &desc)
 {
@@ -375,30 +324,10 @@ StatSet::snapshot() const
                 row(a.name + ".p50", stat.quantile(0.50), a.unit, "");
                 row(a.name + ".p95", stat.quantile(0.95), a.unit, "");
                 row(a.name + ".p99", stat.quantile(0.99), a.unit, "");
-            } else if constexpr (std::is_same_v<T, Histogram>) {
-                row(a.name + ".count",
-                    static_cast<double>(stat.count()), "", a.desc);
-                row(a.name + ".underflow",
-                    static_cast<double>(stat.underflow()), "", "");
-                row(a.name + ".overflow",
-                    static_cast<double>(stat.overflow()), "", "");
             }
         });
     }
     return rows;
-}
-
-void
-StatSet::print(std::ostream &os) const
-{
-    for (const auto &e : snapshot()) {
-        os << std::left << std::setw(44) << (_owner + "." + e.name)
-           << ' ' << std::setw(16) << e.value << ' ' << std::setw(8)
-           << e.unit;
-        if (!e.desc.empty())
-            os << " # " << e.desc;
-        os << '\n';
-    }
 }
 
 namespace {
@@ -451,24 +380,6 @@ StatSet::writeJson(JsonWriter &w) const
                     w, stat.count(), stat.mean(), stat.min(),
                     stat.max(), nullptr,
                     [&stat](double q) { return stat.quantile(q); });
-            } else if constexpr (std::is_same_v<T, Histogram>) {
-                w.beginObject();
-                w.field("count", stat.count());
-                w.field("underflow", stat.underflow());
-                w.field("overflow", stat.overflow());
-                w.name("buckets");
-                w.beginArray();
-                for (std::size_t i = 0; i < stat.buckets(); ++i) {
-                    if (stat.bucket(i) == 0)
-                        continue; // sparse: zero rows carry no info
-                    w.beginArray();
-                    w.value(stat.bucketLo(i));
-                    w.value(stat.bucketHi(i));
-                    w.value(stat.bucket(i));
-                    w.endArray();
-                }
-                w.endArray();
-                w.endObject();
             }
         });
     }
@@ -535,13 +446,6 @@ StatsRegistry::adopt(StatsRegistry &&other)
                   path.c_str());
     }
     other._sets.clear();
-}
-
-void
-StatsRegistry::print(std::ostream &os) const
-{
-    for (const auto &[path, set] : _sets)
-        set->print(os);
 }
 
 void

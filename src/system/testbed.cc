@@ -81,6 +81,9 @@ Testbed::composeDisaggregated(int channels)
     _cp->registerHost("serverA", _serverA->agent(), _serverA->mm());
     _cp->registerHost("serverB", _serverB->agent(), _serverB->mm());
     _cp->registerDatapath("serverA", "serverB", *_datapath);
+    // Flap quarantine; it also binds the queue a ControlOutage fault
+    // needs, without which the "ctrl" point would fire and do nothing.
+    _cp->setHoldDown(_eq, sim::microseconds(5), sim::microseconds(80));
 
     auto id = _cp->allocate("admin", "serverA", "serverB",
                             _params.donatedBytes,
@@ -121,46 +124,17 @@ Testbed::serverPolicy()
 }
 
 void
-Testbed::failChannel(std::size_t i)
-{
-    TF_ASSERT(_datapath != nullptr, "no datapath in this setup");
-    _datapath->failChannel(i);
-}
-
-void
-Testbed::recoverChannel(std::size_t i)
-{
-    TF_ASSERT(_datapath != nullptr, "no datapath in this setup");
-    _datapath->recoverChannel(i);
-}
-
-void
-Testbed::flapChannel(std::size_t i, sim::Tick downFor)
-{
-    TF_ASSERT(_datapath != nullptr, "no datapath in this setup");
-    _datapath->flapChannel(i, downFor);
-}
-
-void
 Testbed::registerFaultPoints(sim::fault::Registry &reg)
 {
-    using sim::fault::Event;
-    using sim::fault::Kind;
-    using sim::fault::kindBit;
     if (_datapath)
         _datapath->registerFaultPoints(reg, "tflow");
     if (_cp)
         _cp->registerFaultPoints(reg, "ctrl");
     _network.registerFaultPoints(
         "net", [&reg](const sim::par::LogicalProcess *) { return &reg; });
-    mem::Dram *donor = &_serverB->dram();
-    reg.add("serverB.dram", kindBit(Kind::DramStall),
-            [donor](const Event &ev) { donor->stall(ev.duration); });
-    if (_pageCache) {
-        os::PageCache *pc = _pageCache.get();
-        reg.add("cache", kindBit(Kind::CachePoison),
-                [pc](const Event &) { pc->poisonCleanPage(); });
-    }
+    _serverB->dram().registerFaultPoints(reg, "serverB.dram");
+    if (_pageCache)
+        _pageCache->registerFaultPoints(reg, "cache");
 }
 
 void

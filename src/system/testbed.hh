@@ -85,13 +85,6 @@ class Testbed
     /** Allocation id of the composed flow (0 when none). */
     std::uint64_t allocationId() const { return _allocationId; }
 
-    /** Fault injection on the composed datapath. */
-    void failChannel(std::size_t i);
-    void recoverChannel(std::size_t i);
-
-    /** Fail channel @p i and auto-recover after @p downFor ticks. */
-    void flapChannel(std::size_t i, sim::Tick downFor);
-
     /**
      * Register every injectable site with a fault-point registry:
      *   tflow.ch<i>[...]  channel fail/flap, wire bursts, credit

@@ -101,8 +101,6 @@ class ComputeEndpoint : public sim::SimObject
     /** Issue-to-RMMU-translation latency (host crossings + queueing). */
     const sim::QuantileSketch &xlatNs() const { return _xlatNs; }
 
-    void reportStats(sim::StatSet &out) const;
-
     /**
      * Register this endpoint's stats under @p prefix: its own set at
      * @p prefix, the RMMU at "<prefix>.rmmu", the routing layer at

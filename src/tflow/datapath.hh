@@ -131,8 +131,6 @@ class Datapath
 
     RoutingLayer &routing() { return _compute.routing(); }
 
-    void reportStats(sim::StatSet &out) const;
-
     /**
      * Register the whole datapath tree with @p reg under @p prefix:
      *   <prefix>                 failover counters

@@ -582,19 +582,6 @@ LlcTx::resetLink()
 }
 
 void
-LlcTx::reportStats(sim::StatSet &out) const
-{
-    out.record("framesSent", static_cast<double>(_framesSent.value()));
-    out.record("txnsSent", static_cast<double>(_txnsSent.value()));
-    out.record("padFlits", static_cast<double>(_padFlits.value()));
-    out.record("creditStalls", static_cast<double>(_creditStalls.value()));
-    out.record("replayedFrames", static_cast<double>(_replays.value()));
-    out.record("ackTimeouts", static_cast<double>(_timeouts.value()));
-    out.record("linkDowns", static_cast<double>(_linkDowns.value()));
-    out.record("creditResyncs", static_cast<double>(_creditResyncs.value()));
-}
-
-void
 LlcTx::attachStats(sim::StatSet &set)
 {
     set.attach("framesSent", _framesSent, "frames");
@@ -760,18 +747,6 @@ LlcRx::resetLink()
     // Early-release state is per sequence space; a retrained link
     // must not suppress fresh seq 0..N as stale duplicates.
     _early.clear();
-}
-
-void
-LlcRx::reportStats(sim::StatSet &out) const
-{
-    out.record("framesDelivered", static_cast<double>(_delivered.value()));
-    out.record("txnsDelivered",
-               static_cast<double>(_txnsDelivered.value()));
-    out.record("duplicates", static_cast<double>(_dups.value()));
-    out.record("gaps", static_cast<double>(_gaps.value()));
-    out.record("corrupted", static_cast<double>(_corrupted.value()));
-    out.record("earlyReleases", static_cast<double>(_earlyReleases.value()));
 }
 
 void

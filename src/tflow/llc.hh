@@ -266,8 +266,6 @@ class LlcTx : public sim::SimObject
         return _starvedCredits.value();
     }
 
-    void reportStats(sim::StatSet &out) const;
-
     /** Attach live counters for telemetry export. */
     void attachStats(sim::StatSet &set);
 
@@ -355,8 +353,6 @@ class LlcRx : public sim::SimObject
     std::uint64_t gapsDetected() const { return _gaps.value(); }
     std::uint64_t corruptedSeen() const { return _corrupted.value(); }
     std::uint64_t earlyReleases() const { return _earlyReleases.value(); }
-
-    void reportStats(sim::StatSet &out) const;
 
     /** Attach live counters for telemetry export. */
     void attachStats(sim::StatSet &set);

@@ -102,12 +102,6 @@ RoutingLayer::clearRoute(mem::NetworkId id)
     _routes.erase(id);
 }
 
-bool
-RoutingLayer::hasRoute(mem::NetworkId id) const
-{
-    return _routes.find(id) != _routes.end();
-}
-
 void
 RoutingLayer::ensureChannels(std::size_t n)
 {

@@ -55,9 +55,6 @@ class RoutingLayer
     /** Remove a flow's route. */
     void clearRoute(mem::NetworkId id);
 
-    /** True if the flow has a route installed. */
-    bool hasRoute(mem::NetworkId id) const;
-
     /**
      * Mask a physical channel out of every route. Bonded flows fail
      * over to their surviving channels on the next transaction.

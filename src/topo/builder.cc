@@ -237,7 +237,6 @@ Instance::buildFaults()
 {
     using sim::fault::Event;
     using sim::fault::Kind;
-    using sim::fault::kindBit;
 
     for (std::size_t i = 0; i < _engine->lpCount(); ++i) {
         _faultRegs.push_back(
@@ -252,30 +251,14 @@ Instance::buildFaults()
         if (g.datapath)
             g.datapath->registerFaultPoints(
                 reg, g.spec->name + ".tflow");
-        if (g.cp) {
-            ctrl::ControlPlane *cp = g.cp.get();
-            reg.add(g.spec->name + ".ctrl",
-                    kindBit(Kind::ControlOutage),
-                    [cp](const Event &ev) {
-                        cp->controlOutage(ev.duration);
-                    });
-        }
-        mem::Dram *dram = &g.node->dram();
-        reg.add(g.spec->name + ".dram", kindBit(Kind::DramStall),
-                [dram](const Event &ev) {
-                    dram->stall(ev.duration);
-                });
-        if (g.donorNode) {
-            mem::Dram *dd = &g.donorNode->dram();
-            reg.add(g.donorName + ".dram", kindBit(Kind::DramStall),
-                    [dd](const Event &ev) { dd->stall(ev.duration); });
-        }
-        if (g.cache) {
-            os::PageCache *pc = g.cache.get();
-            reg.add(g.spec->name + ".cache",
-                    kindBit(Kind::CachePoison),
-                    [pc](const Event &) { pc->poisonCleanPage(); });
-        }
+        if (g.cp)
+            g.cp->registerFaultPoints(reg, g.spec->name + ".ctrl");
+        g.node->dram().registerFaultPoints(reg, g.spec->name + ".dram");
+        if (g.donorNode)
+            g.donorNode->dram().registerFaultPoints(
+                reg, g.donorName + ".dram");
+        if (g.cache)
+            g.cache->registerFaultPoints(reg, g.spec->name + ".cache");
     }
     _fabric->registerFaultPoints(
         "fabric", [this](const sim::par::LogicalProcess *home) {

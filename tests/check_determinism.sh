@@ -74,10 +74,12 @@ done
 # Both framing modes must hold the guarantee: cut-through adds the
 # early-release set and per-transaction staggered delivery, which is
 # exactly the kind of machinery that could leak scheduling order.
+# proto_datapath builds its own rig; fig05_stream builds testbeds.
+framing="proto_datapath fig05_stream"
 for jobs in 1 2 4; do
     mkdir -p "$workdir/sfj$jobs"
     "$bench" --smoke --no-wall --seed 42 --jobs "$jobs" \
-        --cut-through off --scenario proto_datapath \
+        --cut-through off $(printf -- '--scenario %s ' $framing) \
         --out "$workdir/sfj$jobs" > /dev/null
 done
 
@@ -125,23 +127,30 @@ if ! grep -q '"timeline"' "$workdir/tlj1/BENCH_fault_soak.json"; then
     echo "FAIL: --timeline-window produced no timeline section" >&2
     status=1
 fi
-for jobs in 2 4; do
-    if ! cmp -s "$workdir/sfj1/BENCH_proto_datapath.json" \
-                "$workdir/sfj$jobs/BENCH_proto_datapath.json"; then
-        echo "FAIL: proto_datapath (--cut-through off) differs" \
-             "between --jobs 1 and --jobs $jobs" >&2
-        diff "$workdir/sfj1/BENCH_proto_datapath.json" \
-             "$workdir/sfj$jobs/BENCH_proto_datapath.json" \
-            | head -20 >&2
+for s in $framing; do
+    for jobs in 2 4; do
+        if ! cmp -s "$workdir/sfj1/BENCH_$s.json" \
+                    "$workdir/sfj$jobs/BENCH_$s.json"; then
+            echo "FAIL: $s (--cut-through off) differs between" \
+                 "--jobs 1 and --jobs $jobs" >&2
+            diff "$workdir/sfj1/BENCH_$s.json" \
+                 "$workdir/sfj$jobs/BENCH_$s.json" | head -20 >&2
+            status=1
+        fi
+    done
+    if ! grep -q '"cutThrough": false' "$workdir/sfj1/BENCH_$s.json"; then
+        echo "FAIL: $s (--cut-through off) does not record the" \
+             "framing in meta" >&2
+        status=1
+    fi
+    # Off must change the results, not only the meta line naming it.
+    if grep -v '"cutThrough"' "$workdir/sfj1/BENCH_$s.json" |
+        cmp -s - "$workdir/j1/BENCH_$s.json"; then
+        echo "FAIL: --cut-through off produced the same $s" \
+             "results as the default (flag not reaching its beds?)" >&2
         status=1
     fi
 done
-if cmp -s "$workdir/j1/BENCH_proto_datapath.json" \
-          "$workdir/sfj1/BENCH_proto_datapath.json"; then
-    echo "FAIL: --cut-through off produced the same proto_datapath" \
-         "document as the default (flag not reaching the rig?)" >&2
-    status=1
-fi
 
 if [ "$status" -eq 0 ]; then
     echo "determinism OK: $scenarios + topo noisy_neighbor/ring" \

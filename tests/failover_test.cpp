@@ -132,6 +132,54 @@ TEST_F(BondedFailoverFixture, FourChannelBondedDegradesGracefully)
     EXPECT_EQ(dp->compute().outstanding(), 0u);
 }
 
+TEST_F(BondedFailoverFixture, LateTrafficOnADeadTxIsSalvaged)
+{
+    // A donor DRAM stall outlasts channel 0's link-down escalation,
+    // so responses to requests that arrived on channel 0 finish
+    // mastering after the channel died: each lands on the dead
+    // donor-side Tx and is resent on the first survivor.
+    donorDram->stall(sim::microseconds(40));
+    int ok = 0;
+    auto read = [&](Addr addr) {
+        auto txn = mem::makeTxn(TxnType::ReadReq, addr);
+        txn->onComplete = [&ok](mem::MemTxn &t) { ok += !t.error; };
+        dp->issue(std::move(txn));
+    };
+    for (int i = 0; i < 32; ++i)
+        read(kWindowBase + static_cast<Addr>(i) * 128);
+    eq.schedule(sim::microseconds(2), [this]() { dp->failChannel(0); });
+    // Traffic after the failure loses its acks: that is what
+    // escalates channel 0 to down while the donor is still stalled.
+    eq.schedule(sim::microseconds(3), [&]() {
+        for (int i = 32; i < 64; ++i)
+            read(kWindowBase + static_cast<Addr>(i) * 128);
+    });
+    // A request handed to the dead compute-side Tx re-enters routing
+    // and leaves on a survivor; its response is a stray the endpoint
+    // suppresses, since it holds no tag.
+    std::uint64_t reroutedBefore = 0;
+    std::uint64_t dupsBefore = 0;
+    eq.schedule(sim::microseconds(30), [&]() {
+        ASSERT_TRUE(dp->channelDown(0));
+        reroutedBefore = dp->reroutedRequests();
+        dupsBefore = dp->compute().duplicateResponses();
+        auto stray = mem::makeTxn(TxnType::ReadReq, kDonorBase);
+        stray->networkId = 1;
+        dp->channel(0).txA().enqueue(std::move(stray));
+    });
+    eq.run();
+
+    EXPECT_EQ(ok, 64);
+    EXPECT_EQ(dp->linkDownEvents(), 1u);
+    EXPECT_GT(dp->channel(0).txB().deadLetters(), 0u);
+    EXPECT_GT(dp->reroutedResponses(), 0u);
+    EXPECT_EQ(dp->droppedResponses(), 0u);
+    EXPECT_EQ(dp->channel(0).txA().deadLetters(), 1u);
+    EXPECT_EQ(dp->reroutedRequests(), reroutedBefore + 1);
+    EXPECT_EQ(dp->compute().duplicateResponses(), dupsBefore + 1);
+    EXPECT_EQ(dp->compute().outstanding(), 0u);
+}
+
 TEST_F(BondedFailoverFixture, RecoveryRestoresFullBandwidth)
 {
     constexpr int kReads = 4000;

@@ -2,8 +2,8 @@
  * @file
  * Fault-injection engine tests: plan builders, seeded randomized
  * plans, registry dispatch, engine scheduling/counting, hwpoison
- * frame retirement, and a randomized testbed soak replayed twice for
- * bit-identical results.
+ * frame retirement, a control-plane outage on a plain testbed, and a
+ * randomized testbed soak replayed twice for bit-identical results.
  */
 
 #include <gtest/gtest.h>
@@ -250,8 +250,6 @@ runRandomizedSoak(std::uint64_t seed, int totalOps)
     tp.flow.ackTimeout = sim::microseconds(5);
     tp.flow.maxReplayRounds = 4;
     sys::Testbed bed(eq, tp);
-    bed.controlPlane().setHoldDown(eq, sim::microseconds(5),
-                                   sim::microseconds(80));
 
     Registry reg;
     bed.registerFaultPoints(reg);
@@ -340,4 +338,78 @@ TEST(FaultSoak, RandomizedSoakHoldsInvariantsAndReplaysExactly)
     // A different seed is a different soak (event counts diverge).
     SoakResult other = runRandomizedSoak(98, kOps);
     EXPECT_NE(first.executed, other.executed);
+}
+
+// ------------------------------------------ testbed control outage
+
+namespace {
+
+/** Value of the attached stat @p name in the set at @p path. */
+double
+statValue(const sim::StatsRegistry &reg, const std::string &path,
+          const std::string &name)
+{
+    const sim::StatSet *set = reg.find(path);
+    if (set == nullptr)
+        return -1;
+    for (const sim::StatEntry &e : set->snapshot())
+        if (e.name == name)
+            return e.value;
+    return -1;
+}
+
+} // namespace
+
+TEST(FaultTestbed, ControlOutageDefersLinkEventsOfAFlapInItsWindow)
+{
+    // No setHoldDown here: the testbed binds its control plane to the
+    // queue itself, so a "ctrl" outage is not a silent no-op. A flap
+    // inside the outage window reaches the plane late, deferred.
+    sim::EventQueue eq;
+    sys::TestbedParams tp;
+    tp.setup = sys::Setup::BondingDisaggregated;
+    tp.donatedBytes = 32ULL * 1024 * 1024;
+    tp.flow.ackTimeout = sim::microseconds(5);
+    tp.flow.maxReplayRounds = 4;
+    sys::Testbed bed(eq, tp);
+
+    Registry reg;
+    bed.registerFaultPoints(reg);
+    Engine engine(eq, reg);
+    Plan plan;
+    plan.outage(sim::microseconds(5), "ctrl", sim::microseconds(300))
+        .flap(sim::microseconds(10), "tflow.ch0", sim::microseconds(60));
+    engine.arm(plan);
+
+    // Closed-loop reads keep channel 0 busy, so its death is noticed
+    // (missing acks) and so is its recovery.
+    const mem::Addr base =
+        bed.serverA().datapath()->compute().window().base;
+    constexpr int kOps = 3000;
+    int launched = 0;
+    int completed = 0;
+    std::function<void()> issueOne = [&]() {
+        auto txn = mem::makeTxn(
+            mem::TxnType::ReadReq,
+            base + static_cast<mem::Addr>(launched % 512) *
+                       mem::cachelineBytes);
+        ++launched;
+        txn->onComplete = [&](mem::MemTxn &) {
+            ++completed;
+            if (launched < kOps)
+                issueOne();
+        };
+        bed.serverA().issue(std::move(txn));
+    };
+    for (int i = 0; i < 16; ++i)
+        issueOne();
+    eq.run();
+
+    EXPECT_EQ(completed, kOps);
+    EXPECT_EQ(engine.fired(), 2u);
+    EXPECT_GE(bed.datapath()->linkDownEvents(), 1u);
+    sim::StatsRegistry stats;
+    bed.registerStats(stats);
+    EXPECT_GE(statValue(stats, "ctrl", "outages"), 1.0);
+    EXPECT_GE(bed.controlPlane().deferredLinkEvents(), 1u);
 }

@@ -103,7 +103,8 @@ TEST(Txn, ErrorSinkRunsBeforeCompletionOnlyOnError)
 
     auto ok = makeTxn(TxnType::ReadReq, 0x80);
     ok->errorSink = &sink;
-    ok->onComplete = [&](MemTxn &) { log.push_back("ok"); };
+    // Completions log the status by its stable name.
+    ok->onComplete = [&](MemTxn &t) { log.push_back(statusName(t.status)); };
     ok->complete();
     EXPECT_EQ(sink.failed, 0);
 
@@ -112,12 +113,12 @@ TEST(Txn, ErrorSinkRunsBeforeCompletionOnlyOnError)
     bad->error = true;
     bad->onComplete = [&](MemTxn &t) {
         EXPECT_EQ(t.status, TxnStatus::Error);
-        log.push_back("bad");
+        log.push_back(statusName(t.status));
     };
     bad->complete();
     bad->complete(); // both run at most once
     EXPECT_EQ(sink.failed, 1);
-    EXPECT_EQ(log, (std::vector<std::string>{"ok", "sink", "bad"}));
+    EXPECT_EQ(log, (std::vector<std::string>{"ok", "sink", "error"}));
 }
 
 // ------------------------------------------------------------------

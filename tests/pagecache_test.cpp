@@ -2,8 +2,10 @@
  * @file
  * Page-cache tests: hit/miss/eviction clock order, dirty write-back
  * exactly-once under injected remote errors, fill-error propagation,
- * hwpoison refault through the miss path, run-to-run determinism,
- * and the cache interposed on a full disaggregated testbed.
+ * hwpoison refault through the miss path, the page provider's
+ * watermarks and its deferral under local-DRAM pressure, run-to-run
+ * determinism, and the cache interposed on a full disaggregated
+ * testbed.
  *
  * Most tests drive a PageCache directly against a scripted donor (a
  * BackingStore behind a fixed delay that can be told to fail remote
@@ -325,6 +327,26 @@ TEST_F(PageCacheFixture, ProviderKeepsFreeListBetweenWatermarks)
     // watermark and restocked it toward the high one; the last miss
     // may have taken one frame back since.
     eq.run();
+    EXPECT_GE(pc->providerRuns(), 1u);
+    EXPECT_GE(pc->freeFrames(), 2u);
+    EXPECT_EQ(pc->residentPages() + pc->freeFrames(), 8u);
+}
+
+TEST_F(PageCacheFixture, ProviderDefersWhileLocalDramIsStalled)
+{
+    makeCache(8, 2, 4);
+    for (int i = 0; i < 6; ++i)
+        readByte(pageAddr(i));
+    EXPECT_EQ(pc->providerRuns(), 0u); // free list still at low (2)
+
+    // The next miss drops the free list below the low watermark with
+    // the local controller stalled: the provider wakes, sees the
+    // banked latency estimate above the pressure gate and defers its
+    // sweep, then restocks once the stall has lifted.
+    node->dram().stall(sim::microseconds(20));
+    readByte(pageAddr(6));
+    eq.run();
+    EXPECT_GE(pc->providerDeferrals(), 1u);
     EXPECT_GE(pc->providerRuns(), 1u);
     EXPECT_GE(pc->freeFrames(), 2u);
     EXPECT_EQ(pc->residentPages() + pc->freeFrames(), 8u);

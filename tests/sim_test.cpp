@@ -15,7 +15,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/clock_domain.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -143,66 +142,6 @@ TEST(EventQueue, WarpPastCancelledEventOnly)
     EXPECT_EQ(eq.now(), 25u);
 }
 
-TEST(ClockDomain, PrototypeFrequency)
-{
-    ClockDomain clk = prototypeClock();
-    // 401 MHz -> 2493 ps period (integer truncation of 2493.77).
-    EXPECT_EQ(clk.period(), 2493u);
-    EXPECT_NEAR(clk.frequencyHz(), 401e6, 1e6);
-}
-
-TEST(ClockDomain, EdgesAndCycles)
-{
-    ClockDomain clk(1e9); // 1 GHz, 1000 ps period
-    EXPECT_EQ(clk.nextEdge(0), 0u);
-    EXPECT_EQ(clk.nextEdge(1), 1000u);
-    EXPECT_EQ(clk.nextEdge(1000), 1000u);
-    EXPECT_EQ(clk.nextEdge(1001), 2000u);
-    EXPECT_EQ(clk.cycles(5), 5000u);
-    EXPECT_EQ(clk.cycleCount(5500), 5u);
-}
-
-TEST(ClockDomain, MesochronousPhase)
-{
-    ClockDomain clk(1e9, 250);
-    EXPECT_EQ(clk.nextEdge(0), 250u);
-    EXPECT_EQ(clk.nextEdge(251), 1250u);
-}
-
-TEST(ClockDomain, MesochronousEdgeAlignment)
-{
-    // Three transceiver-group clocks at the prototype frequency with
-    // distinct skews (thirds of a period): every edge must stay
-    // phase-aligned to its own domain — same frequency, constant
-    // offset, zero drift — for arbitrary query times.
-    const std::array<Tick, 3> phases = {0, 831, 1662};
-    std::vector<ClockDomain> domains;
-    for (Tick p : phases)
-        domains.push_back(prototypeClock(p));
-    const Tick period = domains[0].period();
-
-    const std::array<Tick, 7> queries = {0u,    1u,      830u,   831u,
-                                         2493u, 100000u, 999983u};
-    for (Tick t : queries) {
-        for (const ClockDomain &clk : domains) {
-            Tick e = clk.nextEdge(t);
-            EXPECT_GE(e, t);
-            EXPECT_EQ((e - clk.phase()) % period, 0u);
-            // Edges are fixed points; the following edge is exactly
-            // one period later and advances the cycle count by one.
-            EXPECT_EQ(clk.nextEdge(e), e);
-            EXPECT_EQ(clk.nextEdge(e + 1), e + period);
-            EXPECT_EQ(clk.cycleCount(e + period),
-                      clk.cycleCount(e) + 1);
-        }
-        // Mesochronous pair: the offset between the domains' next
-        // edges is always congruent to their phase skew.
-        Tick ea = domains[0].nextEdge(t);
-        Tick eb = domains[1].nextEdge(t);
-        EXPECT_EQ((eb + period - ea) % period, phases[1] % period);
-    }
-}
-
 TEST(Rng, DeterministicAcrossInstances)
 {
     Rng a(42), b(42);
@@ -326,36 +265,6 @@ TEST(SampleStat, InterleavedAddAndQuantile)
     s.add(5.0); // re-sort required after new sample
     EXPECT_DOUBLE_EQ(s.quantile(1.0), 5.0);
     EXPECT_DOUBLE_EQ(s.quantile(0.5), 3.0);
-}
-
-TEST(Histogram, Buckets)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(0.0);
-    h.add(5.5);
-    h.add(9.999);
-    h.add(10.0);
-    h.add(42.0);
-    EXPECT_EQ(h.count(), 6u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(5), 1u);
-    EXPECT_EQ(h.bucket(9), 1u);
-    EXPECT_DOUBLE_EQ(h.bucketLo(5), 5.0);
-    EXPECT_DOUBLE_EQ(h.bucketHi(5), 6.0);
-}
-
-TEST(StatSet, PrintsOwnerPrefixedRows)
-{
-    StatSet set("dram0");
-    set.record("reads", 42, "txns", "read requests");
-    std::ostringstream os;
-    set.print(os);
-    EXPECT_NE(os.str().find("dram0.reads"), std::string::npos);
-    EXPECT_NE(os.str().find("42"), std::string::npos);
-    EXPECT_NE(os.str().find("read requests"), std::string::npos);
 }
 
 TEST(SampleStat, WriteCdfMonotone)

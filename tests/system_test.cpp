@@ -222,9 +222,49 @@ TEST(TestbedT, AllSetupsConstruct)
         tp.donatedBytes = 64ULL * 1024 * 1024;
         Testbed tb(eq, tp);
         EXPECT_STREQ(setupName(tb.setup()), setupName(setup));
+        // Node names prefix their components' stat and fault paths.
+        EXPECT_EQ(tb.serverB().name(), "serverB");
+        EXPECT_EQ(tb.serverB().dram().name(), "serverB.dram");
         EXPECT_EQ(tb.network().hopCount("client", "serverA"), 1u);
         EXPECT_EQ(tb.network().hopCount("serverA", "serverB"), 1u);
     }
+}
+
+TEST(TestbedT, DeadRemotePathPoisonsTheHostPage)
+{
+    // Both bonded channels die and stay dead. Reads of a remote page
+    // run into the request deadline; each error completion reaches
+    // the host bus, which hwpoisons the frame behind the access so
+    // the next touch of the page faults onto fresh memory.
+    sim::EventQueue eq;
+    TestbedParams tp;
+    tp.setup = Setup::BondingDisaggregated;
+    tp.donatedBytes = 64ULL * 1024 * 1024;
+    tp.flow.requestDeadline = sim::microseconds(100);
+    Testbed tb(eq, tp);
+    Node &host = tb.serverA();
+    os::AddressSpace space(host.mm(), host.localNode(),
+                           tb.serverPolicy());
+    mem::Addr va = space.mmap(tp.node.pageBytes);
+    auto pa = space.translate(va);
+    ASSERT_TRUE(pa.has_value());
+    ASSERT_EQ(host.mm().nodeOf(*pa), host.tflowNode());
+
+    tb.datapath()->failChannel(0);
+    tb.datapath()->failChannel(1);
+    int errors = 0;
+    for (int i = 0; i < 8; ++i) {
+        auto txn = mem::makeTxn(mem::TxnType::ReadReq,
+                                *pa + static_cast<mem::Addr>(i) * 128);
+        txn->onComplete = [&errors](mem::MemTxn &t) {
+            errors += t.status != mem::TxnStatus::Ok;
+        };
+        host.issue(std::move(txn));
+    }
+    eq.run(sim::milliseconds(1));
+    EXPECT_EQ(errors, 8);
+    EXPECT_EQ(host.remoteErrors(), 8u);
+    EXPECT_TRUE(host.mm().isPoisoned(*pa));
 }
 
 TEST(TestbedT, TimingOnlyAppsAllocateNoBackingPages)

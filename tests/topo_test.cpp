@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <deque>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -78,6 +81,18 @@ TEST(TopoJsonT, DuplicateObjectKeyRejected)
     std::string err =
         expectError(R"({"name": "x", "name": "y", "nodes": []})");
     EXPECT_NE(err.find("duplicate key"), std::string::npos) << err;
+}
+
+TEST(TopoJsonT, NullValueRejectedWithItsPosition)
+{
+    // null parses as a JSON value, then fails validation where it
+    // stands; a misspelt null fails in the parser at the same spot.
+    std::string err = expectError("{\n  \"name\": null}");
+    EXPECT_NE(err.find("test.json:2:11"), std::string::npos) << err;
+    EXPECT_NE(err.find("must be a string"), std::string::npos) << err;
+    err = expectError("{\n  \"name\": nul}");
+    EXPECT_NE(err.find("test.json:2:11"), std::string::npos) << err;
+    EXPECT_NE(err.find("expected 'null'"), std::string::npos) << err;
 }
 
 TEST(TopoJsonT, LineCommentsAllowed)
@@ -608,6 +623,90 @@ TEST(TopoBuildT, UnknownFaultPointIsASpecError)
     }
 }
 
+namespace {
+
+/** Attached stat @p name of the set at @p path (-1 when absent). */
+double
+statValue(const sim::StatsRegistry &reg, const std::string &path,
+          const std::string &name)
+{
+    const sim::StatSet *set = reg.find(path);
+    if (set == nullptr)
+        return -1;
+    for (const sim::StatEntry &e : set->snapshot())
+        if (e.name == name)
+            return e.value;
+    return -1;
+}
+
+/**
+ * h0 reaches its donor through a page cache and runs memory traffic
+ * through it; h1 sends RPCs across the switch. The faults hit every
+ * point a host group registers, and the monitor turns the timeline
+ * on so fault windows are annotated on it.
+ */
+const char *kFaulty = R"({
+  "name": "faulty",
+  "nodes": [
+    {"name": "h0", "role": "host", "donor": "d0", "channels": 2,
+     "cache": {"enabled": true, "frameBudget": 8}},
+    {"name": "h1", "role": "host"},
+    {"name": "d0", "role": "donor", "donatedMiB": 32}
+  ],
+  "switches": [{"name": "s0", "radix": 4}],
+  "links": [
+    {"a": "h0", "b": "s0", "gbps": 100, "latencyNs": 500},
+    {"a": "h1", "b": "s0", "gbps": 100, "latencyNs": 500}
+  ],
+  "traffic": [
+    {"name": "mem", "kind": "memory", "src": "h0", "policy": "remote",
+     "accessBytes": 128, "window": 4, "ops": 3000},
+    {"name": "ping", "kind": "rpc", "src": "h1", "dst": "h0",
+     "requestBytes": 128, "responseBytes": 1024, "window": 2,
+     "ops": 200}
+  ],
+  "faults": [
+    {"kind": "dramStall", "point": "h0.dram", "atUs": 10, "forUs": 5},
+    {"kind": "dramStall", "point": "d0.dram", "atUs": 20, "forUs": 5},
+    {"kind": "cachePoison", "point": "h0.cache", "atUs": 30},
+    {"kind": "controlOutage", "point": "h0.ctrl", "atUs": 35,
+     "forUs": 20},
+    {"kind": "channelFlap", "point": "h0.tflow.ch0", "atUs": 40,
+     "forUs": 5},
+    {"kind": "latencySpike", "point": "fabric.h1->s0", "atUs": 10,
+     "forUs": 20, "extraNs": 1000}
+  ],
+  "timelineUs": 10,
+  "monitors": [{"name": "mem_tail", "metric": "mem.latP99Us",
+                "op": ">", "threshold": 1000}]
+})";
+
+} // namespace
+
+TEST(TopoBuildT, CachedHostRidesOutEveryFaultKind)
+{
+    Spec spec = topo::parseSpec(kFaulty, "faulty.json");
+    topo::Instance inst(spec, topo::BuildOptions{});
+    ASSERT_TRUE(inst.timelineEnabled());
+    inst.run();
+    for (std::size_t i = 0; i < inst.trafficCount(); ++i) {
+        const auto &t = inst.traffic(i);
+        EXPECT_EQ(t.completed.value(), t.target) << t.name;
+    }
+    EXPECT_EQ(inst.faultsFired(), spec.faults.size());
+    EXPECT_EQ(inst.timeline().faults().size(), spec.faults.size());
+
+    sim::StatsRegistry reg;
+    inst.registerStats(reg);
+    // Every fourth op writes, so the poison finds no clean frame to
+    // retire; the fill count shows the cache's remote path ran.
+    EXPECT_GT(statValue(reg, "h0.cache", "fills"), 0.0);
+    EXPECT_EQ(statValue(reg, "h0.dram", "serviceStalls"), 1.0);
+    EXPECT_EQ(statValue(reg, "d0.dram", "serviceStalls"), 1.0);
+    EXPECT_EQ(statValue(reg, "h0.ctrl", "outages"), 1.0);
+    EXPECT_EQ(statValue(reg, "h0.tflow", "channelFlaps"), 1.0);
+}
+
 TEST(TopoBuildT, JobsDoNotChangeTheSimulation)
 {
     Spec spec = topo::parseSpec(kValid, "mini.json");
@@ -751,6 +850,41 @@ TEST(TopoMonitorsT, UnknownMetricIsABuildErrorListingSeries)
         EXPECT_NE(what.find("ping.latP99Us"), std::string::npos)
             << what;
     }
+}
+
+TEST(TopoMonitorsT, DumpFlightBreachWritesIntoDumpDir)
+{
+    // A rule that trips in its first window dumps the owning LP's
+    // flight ring, once, into the build's dumpDir.
+    std::string text(kValid);
+    auto pos = text.rfind('}');
+    ASSERT_NE(pos, std::string::npos);
+    text.insert(pos, R"(, "timelineUs": 10,
+      "monitors": [{"name": "any_mem", "metric": "mem.latP50Us",
+                    "op": ">", "threshold": 0, "dumpFlight": true}])");
+    Spec spec = topo::parseSpec(text, "mini.json");
+
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "tf_slo_XXXXXX")
+            .string();
+    ASSERT_NE(mkdtemp(tmpl.data()), nullptr);
+    const std::filesystem::path dir(tmpl);
+    topo::BuildOptions opt;
+    opt.dumpDir = dir.string();
+    {
+        topo::Instance inst(spec, opt);
+        inst.run();
+        EXPECT_EQ(inst.sloResults().size(), 1u);
+        EXPECT_TRUE(!inst.sloResults().empty() &&
+                    inst.sloResults()[0].violations >= 1);
+    }
+    std::ifstream in(dir / "tf_slo_any_mem.json");
+    std::stringstream body;
+    body << in.rdbuf();
+    std::filesystem::remove_all(dir);
+    EXPECT_NE(body.str().find("slo breach: any_mem"), std::string::npos)
+        << body.str().substr(0, 200);
+    EXPECT_NE(body.str().find("\"ph\""), std::string::npos);
 }
 
 TEST(TopoMonitorsT, WatchdogTripsUnderContentionOnly)
