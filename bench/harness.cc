@@ -16,6 +16,7 @@
 
 #include "sim/json.hh"
 #include "sim/logging.hh"
+#include "sim/trace/buffer.hh"
 #include "topo/builder.hh"
 #include "topo_scenario.hh"
 
@@ -587,5 +588,7 @@ main(int argc, char **argv)
         listScenarios();
         return 0;
     }
+    // Flight and SLO breach dumps land next to the BENCH docs.
+    tf::sim::trace::setDumpDir(opt.outDir);
     return runScenarios(opt);
 }

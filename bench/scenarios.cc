@@ -31,7 +31,7 @@
 #include "sim/parallel/engine.hh"
 #include "system/memory_path.hh"
 #include "system/rack.hh"
-#include "tflow/datapath.hh"
+#include "tflow/rig.hh"
 
 namespace tf::bench {
 namespace {
@@ -226,36 +226,27 @@ runFig01Datacenter(ScenarioContext &ctx)
 
 // ------------------------- proto_datapath --------------------------
 
-constexpr mem::Addr kWindowBase = 0x2000000000ULL;
-constexpr std::uint64_t kWindowSize = 1ULL << 30;
-constexpr std::uint64_t kSection = 1ULL << 24;
-constexpr mem::Addr kDonorBase = 0x100000000ULL;
+constexpr mem::Addr kWindowBase = ocapi::kM1WindowBase;
+constexpr std::uint64_t kSection = flow::Rig::kSection;
 
-/** Bare datapath rig (Section V prototype characterisation). */
+/**
+ * A bare datapath rig on its own queue (Section V prototype
+ * characterisation): flow 1 on channel 0 maps section 0, flow 2
+ * bonded over both channels maps section 1.
+ */
 struct Rig
 {
     sim::EventQueue eq;
     sim::Rng rng;
-    mem::BackingStore store;
-    std::unique_ptr<mem::Dram> dram;
-    ocapi::PasidRegistry pasids;
-    std::unique_ptr<flow::Datapath> dp;
+    flow::Rig bare;
+    flow::Datapath &dp = bare.dp;
 
     explicit Rig(std::uint64_t seed, flow::FlowParams params,
                  mem::DramParams dparams = {})
-        : rng(seed)
+        : rng(seed), bare("dp", eq, params, rng, dparams)
     {
-        dram = std::make_unique<mem::Dram>("donorDram", eq, dparams,
-                                           &store);
-        dp = std::make_unique<flow::Datapath>(
-            "dp", eq, params,
-            ocapi::M1Window{kWindowBase, kWindowSize}, pasids, *dram,
-            rng, kSection);
-        ocapi::Pasid pasid = pasids.allocate();
-        pasids.registerRegion(pasid, kDonorBase, kWindowSize);
-        dp->stealing().setPasid(pasid);
-        dp->attach(0, kDonorBase, 1, {0});
-        dp->attach(1, kDonorBase + kSection, 2, {0, 1});
+        dp.attach(0, flow::Rig::kDonorBase, 1, {0});
+        dp.attach(1, flow::Rig::kDonorBase + kSection, 2, {0, 1});
     }
 
     /**
@@ -284,7 +275,7 @@ struct Rig
                 }
                 one();
             };
-            dp->issue(txn);
+            dp.issue(txn);
         };
         for (int i = 0; i < 192 && i < issuedTotal; ++i)
             one();
@@ -298,7 +289,7 @@ struct Rig
 double
 channel0(Rig &rig, std::uint64_t (flow::LlcTx::*counter)() const)
 {
-    flow::LlcChannel &ch = rig.dp->channel(0);
+    flow::LlcChannel &ch = rig.dp.channel(0);
     return static_cast<double>((ch.txA().*counter)() + (ch.txB().*counter)());
 }
 
@@ -314,12 +305,12 @@ protoRttPoint(ScenarioContext &sub)
     // gates, which must exist in plain smoke runs, not only --trace.
     rig.eq.trace().setFull(true);
     rig.eq.trace().setIdTag(1); // unique ids across points
-    rig.dp->registerStats(sub.registry(), "proto.rtt");
+    rig.dp.registerStats(sub.registry(), "proto.rtt");
     rig.eq.attachStats(sub.registry().at("proto.rtt.eq"));
     auto txn = mem::makeTxn(mem::TxnType::ReadReq, kWindowBase + 0x100);
-    rig.dp->issue(txn);
+    rig.dp.issue(txn);
     rig.eq.run();
-    sub.metric("rttNs", rig.dp->compute().rttNs().mean(), "ns");
+    sub.metric("rttNs", rig.dp.compute().rttNs().mean(), "ns");
     sub.addRun(rig.eq);
     sub.collectTrace(rig.eq, "proto.rtt");
     sub.registry().freezeAll();
@@ -345,7 +336,7 @@ protoBandwidthPoint(ScenarioContext &sub, const std::string &prefix,
         rig.eq.trace().setFull(true);
         rig.eq.trace().setIdTag(2);
     }
-    rig.dp->registerStats(sub.registry(), prefix);
+    rig.dp.registerStats(sub.registry(), prefix);
     rig.eq.attachStats(sub.registry().at(prefix + ".eq"));
     // Warmup chains straight into the measured phase. Draining the
     // pipeline between the two and re-issuing the 192-deep window at
@@ -362,7 +353,7 @@ protoBandwidthPoint(ScenarioContext &sub, const std::string &prefix,
     });
     if (quantiles) {
         sub.metric("singleGiBs", gib, "GiB/s");
-        const sim::SampleStat &rtt = rig.dp->compute().rttNs();
+        const sim::SampleStat &rtt = rig.dp.compute().rttNs();
         sub.metric("rttP50Ns", rtt.quantile(0.50), "ns");
         sub.metric("rttP95Ns", rtt.quantile(0.95), "ns");
         sub.metric("rttP99Ns", rtt.quantile(0.99), "ns");
@@ -452,7 +443,7 @@ llcReadStream(ScenarioContext &sub, const std::string &prefix,
     auto rig = std::make_unique<Rig>(sub.seed(), fp);
     if (traced)
         rig->eq.trace().setFull(true);
-    rig->dp->registerStats(sub.registry(), prefix);
+    rig->dp.registerStats(sub.registry(), prefix);
     rig->eq.attachStats(sub.registry().at(prefix + ".eq"));
     sub.metric(prefix + ".GiBs", rig->readStream(kWindowBase, 0, total),
                "GiB/s");
@@ -669,16 +660,10 @@ swapPoint(ScenarioContext &sub, const std::string &prefix,
     // the proto Rig's layout.
     sim::EventQueue eq;
     sim::Rng rng(sub.seed());
-    mem::Dram donor("donorDram", eq, mem::DramParams{}, nullptr);
-    ocapi::PasidRegistry pasids;
-    flow::Datapath dp("dp", eq, sub.flowParams(),
-                      ocapi::M1Window{kWindowBase, kWindowSize}, pasids,
-                      donor, rng, kSection);
-    auto pasid = pasids.allocate();
-    pasids.registerRegion(pasid, kDonorBase, kWindowSize);
-    dp.stealing().setPasid(pasid);
-    for (std::size_t s = 0; s < kWindowSize / kSection; ++s)
-        dp.attach(s, kDonorBase + s * kSection, 1, {0, 1});
+    flow::Rig rig("dp", eq, sub.flowParams(), rng);
+    flow::Datapath &dp = rig.dp;
+    for (std::size_t s = 0; s < flow::Rig::kWindowSize / kSection; ++s)
+        dp.attach(s, flow::Rig::kDonorBase + s * kSection, 1, {0, 1});
     dp.registerStats(sub.registry(), prefix + ".tflow");
     eq.attachStats(sub.registry().at(prefix + ".tflow.eq"));
     closedLoop(eq, "tflow", [&](bool write, std::function<void()> done) {

@@ -13,7 +13,6 @@ runTopoScenario(ScenarioContext &ctx, const topo::Spec &spec)
     opt.smoke = ctx.smoke();
     opt.cutThrough = ctx.cutThroughOverride();
     opt.timelineUs = ctx.timelineWindowUs();
-    opt.dumpDir = ctx.outDir();
     topo::Instance inst(spec, opt);
 
     if (ctx.traceEnabled()) {

@@ -21,7 +21,7 @@ using namespace tf;
 
 namespace {
 
-constexpr mem::Addr kWindowBase = 0x2000000000ULL;
+constexpr mem::Addr kWindowBase = ocapi::kM1WindowBase;
 constexpr std::uint64_t kWindowSize = 1ULL << 28; // 256 MiB
 constexpr std::uint64_t kSection = 1ULL << 24;    // 16 MiB
 constexpr std::uint64_t kPage = 64 * 1024;
@@ -103,7 +103,7 @@ main()
                       ocapi::M1Window{kWindowBase, kWindowSize},
                       pasids_b, dram_b, rng, kSection);
 
-    ctrl::ControlPlane cp(kAgentToken);
+    ctrl::ControlPlane cp(eq, kAgentToken);
     cp.addUser(kAdmin, ctrl::Role::Admin);
     cp.registerHost("hostA", agent_a, mm_a);
     cp.registerHost("hostB", agent_b, mm_b);

@@ -32,12 +32,12 @@ main()
 
     // Point-to-point ThymesisFlow datapath, hostA compute side.
     flow::Datapath dp("tflow", eq, flow::FlowParams{},
-                      ocapi::M1Window{0x2000000000ULL, 1ULL << 30},
+                      ocapi::M1Window{ocapi::kM1WindowBase, 1ULL << 30},
                       hostB.pasids(), hostB.dram(), rng,
                       node_params.sectionBytes);
     hostA.attachDatapath(dp);
 
-    ctrl::ControlPlane cp(node_params.agentToken);
+    ctrl::ControlPlane cp(eq, node_params.agentToken);
     cp.addUser("alice-admin", ctrl::Role::Admin);
     cp.addUser("bob-observer", ctrl::Role::Observer);
     cp.registerHost("hostA", hostA.agent(), hostA.mm());

@@ -12,8 +12,8 @@ namespace {
 constexpr double kFlowDemandGbps = 25.0;
 } // namespace
 
-ControlPlane::ControlPlane(std::string agentToken)
-    : _agentToken(std::move(agentToken))
+ControlPlane::ControlPlane(sim::EventQueue &eq, std::string agentToken)
+    : _eq(eq), _agentToken(std::move(agentToken))
 {
 }
 
@@ -222,23 +222,14 @@ ControlPlane::deallocate(const std::string &userToken, std::uint64_t id)
 }
 
 void
-ControlPlane::setHoldDown(sim::EventQueue &eq, sim::Tick base,
-                          sim::Tick max)
-{
-    _eq = &eq;
-    _holdDownBase = base;
-    _holdDownMax = std::max(base, max);
-}
-
-void
 ControlPlane::controlOutage(sim::Tick duration)
 {
-    if (_eq == nullptr || duration == 0)
+    if (duration == 0)
         return;
     _outages.inc();
-    _outageUntil = std::max(_outageUntil, _eq->now() + duration);
-    _eq->scheduleIn(duration, [this]() {
-        if (_outageUntil > _eq->now())
+    _outageUntil = std::max(_outageUntil, _eq.now() + duration);
+    _eq.scheduleIn(duration, [this]() {
+        if (_outageUntil > _eq.now())
             return; // a later outage extended the window
         // Catch up on everything that happened while we were away,
         // in arrival order.
@@ -266,7 +257,7 @@ ControlPlane::onLinkEvent(std::size_t dpIndex, std::size_t channel,
     TF_ASSERT(dpIndex < _datapaths.size(), "link event from unknown dp");
     TF_ASSERT(channel < _datapaths[dpIndex].channelEdges.size(),
               "link event for unknown channel");
-    if (_eq != nullptr && _outageUntil > _eq->now()) {
+    if (_outageUntil > _eq.now()) {
         // Control-plane outage: the event is noted but not acted on
         // until the plane comes back. The datapath has already masked
         // its own routing, so traffic safety does not depend on us.
@@ -285,25 +276,19 @@ ControlPlane::processLinkEvent(std::size_t dpIndex, std::size_t channel,
     ChannelHealth &health = _chHealth[{dpIndex, channel}];
 
     if (!down) {
-        if (_holdDownBase == 0 || _eq == nullptr) {
-            // Legacy behaviour: re-admit synchronously.
-            health.flapCount = 0;
-            readmitChannel(dpIndex, channel);
-            return;
-        }
         // Hold-down: quarantine the returning channel with bounded
         // exponential backoff before trusting it again.
         std::uint32_t flaps = health.flapCount > 0
                                   ? health.flapCount - 1
                                   : 0;
-        sim::Tick delay = _holdDownBase
+        sim::Tick delay = kHoldDownBase
                           << std::min<std::uint32_t>(flaps, 20);
-        delay = std::min(delay, _holdDownMax);
+        delay = std::min(delay, kHoldDownMax);
         _holdDowns.inc();
         if (health.readmit != sim::EventQueue::invalidEvent)
-            _eq->deschedule(health.readmit);
+            _eq.deschedule(health.readmit);
         health.readmit =
-            _eq->scheduleIn(delay, [this, dpIndex, channel]() {
+            _eq.scheduleIn(delay, [this, dpIndex, channel]() {
                 ChannelHealth &h = _chHealth[{dpIndex, channel}];
                 h.readmit = sim::EventQueue::invalidEvent;
                 h.flapCount = 0; // survived the quarantine
@@ -316,7 +301,7 @@ ControlPlane::processLinkEvent(std::size_t dpIndex, std::size_t channel,
     // is what keeps a flap storm from double-counting regrows.
     ++health.flapCount;
     if (health.readmit != sim::EventQueue::invalidEvent) {
-        _eq->deschedule(health.readmit);
+        _eq.deschedule(health.readmit);
         health.readmit = sim::EventQueue::invalidEvent;
     }
 

@@ -54,8 +54,19 @@ struct AllocationRecord
 class ControlPlane
 {
   public:
-    /** @param agentToken shared secret pushed to trusted agents. */
-    explicit ControlPlane(std::string agentToken);
+    /**
+     * Quarantine of a channel reporting back up: it is re-admitted
+     * (edge up, allocations regrown) only after
+     * kHoldDownBase << (flaps - 1), capped at kHoldDownMax. A re-flap
+     * during the quarantine cancels the pending re-admission and
+     * doubles the next one, so a flap storm costs one repair per down
+     * instead of a repair/regrow pair per cycle.
+     */
+    static constexpr sim::Tick kHoldDownBase = sim::microseconds(5);
+    static constexpr sim::Tick kHoldDownMax = sim::microseconds(80);
+
+    /** Timers run on @p eq; @p agentToken goes to trusted agents. */
+    ControlPlane(sim::EventQueue &eq, std::string agentToken);
 
     const std::string &agentToken() const { return _agentToken; }
 
@@ -107,22 +118,9 @@ class ControlPlane
     // ------------------------ failure repair ------------------------
 
     /**
-     * Enable hold-down for flapping channels: a channel reporting
-     * back up is only re-admitted (edge up + allocations regrown)
-     * after a quarantine of base << (flaps - 1), capped at @p max.
-     * A re-flap during the quarantine cancels the pending
-     * re-admission and doubles the next one, so a flap storm costs
-     * one repair per down instead of a repair/regrow pair per cycle.
-     * base = 0 (the default, no event queue bound) keeps the legacy
-     * behaviour: synchronous re-admission on the up event.
-     */
-    void setHoldDown(sim::EventQueue &eq, sim::Tick base, sim::Tick max);
-
-    /**
      * Fault injection: control-plane outage. Link events arriving in
      * the next @p duration ticks are deferred (FIFO) and processed
-     * when the outage lifts. Requires setHoldDown's event queue; a
-     * plane with no queue bound ignores the outage.
+     * when the outage lifts.
      */
     void controlOutage(sim::Tick duration);
 
@@ -188,6 +186,7 @@ class ControlPlane
         std::vector<EdgeId> channelEdges;
     };
 
+    sim::EventQueue &_eq;
     std::string _agentToken;
     std::map<std::string, Role> _users;
     PropertyGraph _graph;
@@ -211,9 +210,6 @@ class ControlPlane
             sim::EventQueue::invalidEvent;
     };
 
-    sim::EventQueue *_eq = nullptr;
-    sim::Tick _holdDownBase = 0;
-    sim::Tick _holdDownMax = 0;
     std::map<std::pair<std::size_t, std::size_t>, ChannelHealth>
         _chHealth;
     /** Outage window end; link events before it are deferred. */

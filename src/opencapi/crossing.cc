@@ -37,25 +37,9 @@ CrossingStage::push(mem::TxnPtr txn)
         tb.begin(now(), txn->traceId, _traceStage);
         tb.end(deliver, txn->traceId, _traceStage);
     }
-    auto forward = [this, txn = std::move(txn)]() mutable {
+    after(deliver - now(), [this, txn = std::move(txn)]() mutable {
         _out(std::move(txn));
-    };
-    if (_channel != nullptr)
-        _channel->send(deliver, std::move(forward));
-    else
-        after(deliver - now(), std::move(forward));
-}
-
-void
-CrossingStage::bindChannel(sim::par::LinkChannel *channel)
-{
-    TF_ASSERT(channel == nullptr ||
-                  channel->minLatency() <= _params.latency,
-              "%s: channel lookahead %llu exceeds stage latency %llu",
-              name().c_str(),
-              (unsigned long long)channel->minLatency(),
-              (unsigned long long)_params.latency);
-    _channel = channel;
+    });
 }
 
 void

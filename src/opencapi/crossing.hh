@@ -16,7 +16,6 @@
 #include <functional>
 
 #include "mem/transaction.hh"
-#include "sim/parallel/engine.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -42,15 +41,6 @@ class CrossingStage : public sim::SimObject
     /** Connect the downstream consumer. */
     void connect(OutFn out) { _out = std::move(out); }
 
-    /**
-     * Route deliveries through a cross-LP channel: the downstream
-     * consumer then runs on the channel's destination LP. Use when
-     * this crossing is the partition boundary of a parallel run (an
-     * OpenCAPI wire between nodes). The channel's lookahead must not
-     * exceed this stage's fixed latency. Pass nullptr to unbind.
-     */
-    void bindChannel(sim::par::LinkChannel *channel);
-
     /** Accept a transaction; delivers downstream after the delay. */
     void push(mem::TxnPtr txn);
 
@@ -74,15 +64,13 @@ class CrossingStage : public sim::SimObject
     /**
      * Tag the stage for causal tracing: traced transactions open a
      * span named after @p stage on push and close it at the delivery
-     * tick. Both edges are recorded at push time on this stage's own
-     * LP, so channel-bound crossings never write a remote buffer.
+     * tick. Both edges are recorded at push time.
      */
     void setTraceStage(sim::trace::Stage stage) { _traceStage = stage; }
 
   private:
     CrossingParams _params;
     OutFn _out;
-    sim::par::LinkChannel *_channel = nullptr;
     sim::trace::Stage _traceStage = sim::trace::Stage::None;
     sim::Tick _nextFree = 0;
     sim::Counter _items;

@@ -16,6 +16,9 @@
 
 namespace tf::ocapi {
 
+/** Host real address of the ThymesisFlow M1 window in every rig. */
+constexpr mem::Addr kM1WindowBase = 0x2000000000ULL;
+
 struct M1Window
 {
     mem::Addr base = 0;

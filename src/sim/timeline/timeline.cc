@@ -380,8 +380,7 @@ Recorder::dumpBreach(const RuleState &rs)
     node.events = _eq.trace().snapshot();
     if (node.events.empty())
         return;
-    std::string path = _dumpDir.empty() ? "" : _dumpDir + "/";
-    path += "tf_slo_" + rs.rule.name + ".json";
+    std::string path = trace::dumpPath("tf_slo_" + rs.rule.name + ".json");
     std::ofstream out(path);
     if (!out)
         return;

@@ -154,9 +154,6 @@ class Recorder
      */
     void addRule(const SloRule &rule);
 
-    /** Directory for dumpFlight breach dumps (default: cwd). */
-    void setDumpDir(const std::string &dir) { _dumpDir = dir; }
-
     /** Record a fault window (wired to fault::Engine::setObserver). */
     void noteFault(const std::string &label, Tick begin, Tick end);
 
@@ -240,7 +237,6 @@ class Recorder
     bool _finished = false;
     EventQueue::EventId _armedId = EventQueue::invalidEvent;
     Tick _armedAt = 0;
-    std::string _dumpDir;
 
     std::vector<CounterProbe> _counters;
     std::vector<GaugeProbe> _gauges;

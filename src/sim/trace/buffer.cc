@@ -28,6 +28,8 @@ registry()
     return buffers;
 }
 
+std::string g_dumpDir;
+
 } // namespace
 
 TraceBuffer::TraceBuffer()
@@ -113,6 +115,18 @@ TraceBuffer::snapshot() const
 }
 
 void
+setDumpDir(std::string dir)
+{
+    g_dumpDir = std::move(dir);
+}
+
+std::string
+dumpPath(const std::string &file)
+{
+    return g_dumpDir.empty() ? file : g_dumpDir + "/" + file;
+}
+
+void
 dumpFlightRecorder(const char *reason)
 {
     // A panic inside the dump (or concurrent panics) must not
@@ -145,9 +159,8 @@ dumpFlightRecorder(const char *reason)
         return;
     }
 
-    char path[64];
-    std::snprintf(path, sizeof(path), "tf_flight_%d.json",
-                  static_cast<int>(::getpid()));
+    std::string path =
+        dumpPath("tf_flight_" + std::to_string(::getpid()) + ".json");
     std::ofstream out(path);
     if (!out) {
         dumping.store(false);
@@ -157,7 +170,7 @@ dumpFlightRecorder(const char *reason)
     out.flush();
     std::fprintf(stderr,
                  "flight recorder: %zu buffer(s) dumped to %s\n",
-                 nodes.size(), path);
+                 nodes.size(), path.c_str());
     dumping.store(false);
 }
 

@@ -14,8 +14,8 @@
  *    kSampleInterval so the steady-state overhead is a branch per
  *    hook plus a handful of ring stores per sampled transaction.
  *    panic() / TF_ASSERT dump every live ring to
- *    tf_flight_<pid>.json before aborting, so a CI failure always
- *    ships the final in-flight microseconds.
+ *    tf_flight_<pid>.json in the dump directory before aborting, so
+ *    a CI failure always ships the final in-flight microseconds.
  *
  *  - Full mode (--trace): every transaction gets an id and events
  *    append unbounded, for Perfetto export and latency attribution.
@@ -127,10 +127,21 @@ class TraceBuffer
 };
 
 /**
- * Write every live TraceBuffer's events to tf_flight_<pid>.json
- * (trace-event JSON plus the failure reason). Called by panic()
- * before aborting; safe to call with buffers mid-write — the process
- * is dying and a torn ring still beats no data. Re-entry is ignored.
+ * Directory the flight dump and the timeline's SLO breach dumps are
+ * written into; "" (the default) is the working directory. One
+ * setting for the whole process: set it before any queue runs.
+ */
+void setDumpDir(std::string dir);
+
+/** Path of @p file inside the dump directory. */
+std::string dumpPath(const std::string &file);
+
+/**
+ * Write every live TraceBuffer's events to tf_flight_<pid>.json in
+ * the dump directory (trace-event JSON plus the failure reason).
+ * Called by panic() before aborting; safe to call with buffers
+ * mid-write — the process is dying and a torn ring still beats no
+ * data. Re-entry is ignored.
  */
 void dumpFlightRecorder(const char *reason);
 

@@ -44,6 +44,7 @@ class Node : private mem::ErrorSink
 
     const std::string &name() const { return _name; }
     const NodeParams &params() const { return _params; }
+    sim::EventQueue &eventQueue() { return _eq; }
 
     os::NumaTopology &topology() { return _topo; }
     os::MemoryManager &mm() { return *_mm; }

@@ -6,13 +6,9 @@ namespace tf::sys {
 
 namespace {
 
-// Same geometry as the datapath benches: a 1 GiB M1 window backed by
-// two 16 MiB sections of donor memory; RPC reads target a disjoint
-// region of the donor DRAM.
-constexpr mem::Addr kWindowBase = 0x2000000000ULL;
-constexpr std::uint64_t kWindowSize = 1ULL << 30;
-constexpr std::uint64_t kSection = 1ULL << 24;
-constexpr mem::Addr kDonorBase = 0x100000000ULL;
+// Each rack's rig has two 16 MiB sections of donor memory attached;
+// RPC reads target a disjoint region of the donor DRAM.
+constexpr std::uint64_t kSection = flow::Rig::kSection;
 constexpr mem::Addr kRpcBase = 0x300000000ULL;
 
 } // namespace
@@ -33,20 +29,12 @@ RackCluster::RackCluster(const std::string &name,
         auto rack = std::make_unique<Rack>(i, seed + i);
         rack->endpoint = "rack" + std::to_string(i);
         rack->lp = &engine.addLp(rack->endpoint);
-        sim::EventQueue &eq = rack->lp->queue();
-
-        rack->dram = std::make_unique<mem::Dram>(
-            _name + "." + rack->endpoint + ".dram", eq, _params.dram,
-            &rack->store);
-        rack->dp = std::make_unique<flow::Datapath>(
-            _name + "." + rack->endpoint + ".dp", eq, _params.flow,
-            ocapi::M1Window{kWindowBase, kWindowSize}, rack->pasids,
-            *rack->dram, rack->rng, kSection);
-        ocapi::Pasid pasid = rack->pasids.allocate();
-        rack->pasids.registerRegion(pasid, kDonorBase, kWindowSize);
-        rack->dp->stealing().setPasid(pasid);
-        rack->dp->attach(0, kDonorBase, 1, {0});
-        rack->dp->attach(1, kDonorBase + kSection, 2, {0, 1});
+        rack->rig = std::make_unique<flow::Rig>(
+            _name + "." + rack->endpoint + ".dp", rack->lp->queue(),
+            _params.flow, rack->rng, _params.dram);
+        flow::Datapath &dp = rack->rig->dp;
+        dp.attach(0, flow::Rig::kDonorBase, 1, {0});
+        dp.attach(1, flow::Rig::kDonorBase + kSection, 2, {0, 1});
         _racks.push_back(std::move(rack));
     }
 
@@ -96,13 +84,13 @@ RackCluster::issueRead(Rack &rack, int remaining, std::uint64_t offset)
     if (remaining <= 0)
         return;
     auto txn = mem::makeTxn(mem::TxnType::ReadReq,
-                            kWindowBase + offset % kSection);
+                            ocapi::kM1WindowBase + offset % kSection);
     Rack *r = &rack;
     txn->onComplete = [this, r, remaining, offset](mem::MemTxn &) {
         r->ops.inc();
         issueRead(*r, remaining - 1, offset + 128);
     };
-    rack.dp->issue(std::move(txn));
+    rack.rig->dp.issue(std::move(txn));
 }
 
 void
@@ -120,7 +108,7 @@ RackCluster::issueRpc(Rack &rack)
                        kRpcBase + (sent % kSection),
                        static_cast<std::uint32_t>(
                            _params.rpcResponseBytes));
-                   dst->dram->access(
+                   dst->rig->dram.access(
                        txn, [this, src, dst, sent](mem::TxnPtr) {
                            _net->send(dst->endpoint, src->endpoint,
                                       _params.rpcResponseBytes,

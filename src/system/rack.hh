@@ -27,11 +27,9 @@
 #include <vector>
 
 #include "dc/trace.hh"
-#include "mem/backing_store.hh"
-#include "mem/dram.hh"
 #include "net/switch.hh"
 #include "sim/parallel/engine.hh"
-#include "tflow/datapath.hh"
+#include "tflow/rig.hh"
 
 namespace tf::sys {
 
@@ -92,10 +90,7 @@ class RackCluster
         std::string endpoint;      ///< network endpoint name
         sim::par::LogicalProcess *lp;
         sim::Rng rng;
-        mem::BackingStore store;
-        std::unique_ptr<mem::Dram> dram;
-        ocapi::PasidRegistry pasids;
-        std::unique_ptr<flow::Datapath> dp;
+        std::unique_ptr<flow::Rig> rig;
         sim::Counter ops;          ///< datapath loads completed
         sim::Counter cross;        ///< RPC round trips completed
         sim::Summary rpcRttUs;     ///< per-RPC round-trip time

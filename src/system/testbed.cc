@@ -2,10 +2,6 @@
 
 namespace tf::sys {
 
-namespace {
-constexpr mem::Addr kWindowBase = 0x2000000000ULL;
-} // namespace
-
 const char *
 setupName(Setup s)
 {
@@ -25,7 +21,7 @@ setupName(Setup s)
 }
 
 Testbed::Testbed(sim::EventQueue &eq, TestbedParams params)
-    : _eq(eq), _params(params), _rng(params.seed),
+    : _params(params), _rng(params.seed),
       _network("net", eq)
 {
     _serverA = std::make_unique<Node>("serverA", eq, _params.node);
@@ -47,63 +43,16 @@ Testbed::Testbed(sim::EventQueue &eq, TestbedParams params)
                      net::FabricLinkParams::hundredGig());
     _network.finalize();
 
-    switch (_params.setup) {
-      case Setup::Local:
-      case Setup::ScaleOut:
-        break;
-      case Setup::SingleDisaggregated:
-      case Setup::Interleaved:
-        composeDisaggregated(1);
-        break;
-      case Setup::BondingDisaggregated:
-        composeDisaggregated(2);
-        break;
-    }
-}
-
-void
-Testbed::composeDisaggregated(int channels)
-{
-    // Donor memory must exist beyond what the app itself needs on B:
-    // give B extra boot sections to donate from.
-    std::uint64_t window =
-        mem::alignUp(_params.donatedBytes, _params.node.sectionBytes) *
-        2;
-    _datapath = std::make_unique<flow::Datapath>(
-        "tflow", _eq, _params.flow,
-        ocapi::M1Window{kWindowBase, window}, _serverB->pasids(),
-        _serverB->dram(), _rng, _params.node.sectionBytes);
-    _serverA->attachDatapath(*_datapath);
-
-    _cp = std::make_unique<ctrl::ControlPlane>(
-        _params.node.agentToken);
-    _cp->addUser("admin", ctrl::Role::Admin);
-    _cp->registerHost("serverA", _serverA->agent(), _serverA->mm());
-    _cp->registerHost("serverB", _serverB->agent(), _serverB->mm());
-    _cp->registerDatapath("serverA", "serverB", *_datapath);
-    // Flap quarantine; it also binds the queue a ControlOutage fault
-    // needs, without which the "ctrl" point would fire and do nothing.
-    _cp->setHoldDown(_eq, sim::microseconds(5), sim::microseconds(80));
-
-    auto id = _cp->allocate("admin", "serverA", "serverB",
-                            _params.donatedBytes,
-                            _serverA->tflowNode(), channels,
-                            _serverB->localNode());
-    TF_ASSERT(id.has_value(),
+    if (_params.setup == Setup::Local || scaleOut())
+        return;
+    int channels = _params.setup == Setup::BondingDisaggregated ? 2 : 1;
+    _composition = std::make_unique<Composition>(
+        "", *_serverA, *_serverB, _params.flow, channels,
+        _params.donatedBytes, _rng,
+        _params.enablePageCache ? std::optional(_params.pageCache)
+                                : std::nullopt);
+    TF_ASSERT(_composition->allocationId != 0,
               "testbed failed to compose disaggregated memory");
-    _allocationId = *id;
-
-    if (_params.enablePageCache) {
-        os::PageCacheParams pcp = _params.pageCache;
-        // The cache pages the same units the kernel does.
-        pcp.pageBytes = _params.node.pageBytes;
-        flow::Datapath *dp = _datapath.get();
-        _pageCache = std::make_unique<os::PageCache>(
-            "serverA.pagecache", _eq, pcp, _serverA->mm(),
-            _serverA->localNode(), _serverA->dram(),
-            [dp](mem::TxnPtr txn) { dp->issue(std::move(txn)); });
-        _serverA->attachPageCache(*_pageCache);
-    }
 }
 
 os::AllocPolicy
@@ -126,15 +75,11 @@ Testbed::serverPolicy()
 void
 Testbed::registerFaultPoints(sim::fault::Registry &reg)
 {
-    if (_datapath)
-        _datapath->registerFaultPoints(reg, "tflow");
-    if (_cp)
-        _cp->registerFaultPoints(reg, "ctrl");
+    if (_composition)
+        _composition->registerFaultPoints(reg);
     _network.registerFaultPoints(
         "net", [&reg](const sim::par::LogicalProcess *) { return &reg; });
     _serverB->dram().registerFaultPoints(reg, "serverB.dram");
-    if (_pageCache)
-        _pageCache->registerFaultPoints(reg, "cache");
 }
 
 void
@@ -145,14 +90,11 @@ Testbed::registerStats(sim::StatsRegistry &reg,
         return prefix.empty() ? std::string(leaf)
                               : prefix + "." + leaf;
     };
-    if (_datapath)
-        _datapath->registerStats(reg, path("tflow"));
-    if (_cp)
-        _cp->attachStats(reg.at(path("ctrl")));
+    if (_composition)
+        _composition->registerStats(reg,
+                                    prefix.empty() ? "" : prefix + ".");
     _network.registerStats(reg, path("net"));
     _serverB->dram().attachStats(reg.at(path("serverB.dram")));
-    if (_pageCache)
-        _pageCache->attachStats(reg.at(path("cache")));
 }
 
 } // namespace tf::sys

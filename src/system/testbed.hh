@@ -24,10 +24,9 @@
 
 #include <memory>
 
-#include "ctrl/control_plane.hh"
 #include "net/switch.hh"
+#include "system/composition.hh"
 #include "system/cpuset.hh"
-#include "system/node.hh"
 
 namespace tf::sys {
 
@@ -71,9 +70,9 @@ class Testbed
     CpuSet &cpuA() { return *_cpuA; }
     CpuSet &cpuB() { return *_cpuB; }
     net::Fabric &network() { return _network; }
-    ctrl::ControlPlane &controlPlane() { return *_cp; }
-    flow::Datapath *datapath() { return _datapath.get(); }
-    os::PageCache *pageCache() { return _pageCache.get(); }
+    ctrl::ControlPlane &controlPlane() { return _composition->controlPlane; }
+    flow::Datapath *datapath() { return _serverA->datapath(); }
+    os::PageCache *pageCache() { return _serverA->pageCache(); }
     sim::Rng &rng() { return _rng; }
 
     /** Page policy applications on server A should run under. */
@@ -83,7 +82,10 @@ class Testbed
     bool scaleOut() const { return _params.setup == Setup::ScaleOut; }
 
     /** Allocation id of the composed flow (0 when none). */
-    std::uint64_t allocationId() const { return _allocationId; }
+    std::uint64_t allocationId() const
+    {
+        return _composition ? _composition->allocationId : 0;
+    }
 
     /**
      * Register every injectable site with a fault-point registry:
@@ -108,7 +110,6 @@ class Testbed
                        const std::string &prefix = "");
 
   private:
-    sim::EventQueue &_eq;
     TestbedParams _params;
     sim::Rng _rng;
     std::unique_ptr<Node> _serverA;
@@ -117,12 +118,7 @@ class Testbed
     std::unique_ptr<CpuSet> _cpuA;
     std::unique_ptr<CpuSet> _cpuB;
     net::Fabric _network;
-    std::unique_ptr<flow::Datapath> _datapath;
-    std::unique_ptr<os::PageCache> _pageCache;
-    std::unique_ptr<ctrl::ControlPlane> _cp;
-    std::uint64_t _allocationId = 0;
-
-    void composeDisaggregated(int channels);
+    std::unique_ptr<Composition> _composition;
 };
 
 } // namespace tf::sys

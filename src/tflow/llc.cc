@@ -46,9 +46,8 @@ Wire::recover()
 {
     _failed = false;
     // Retrain leaves no error-model residue: a repaired wire must not
-    // resume mid-burst or mid-bad-state — the outage outlives the
-    // disturbance those chains modelled.
-    _geBad = false;
+    // resume mid-burst — the outage outlives the disturbance the
+    // burst window modelled.
     _burstUntil = 0;
     _burstBad = false;
 }
@@ -91,16 +90,6 @@ Wire::frameError()
                 _burstBad ? _burstGe.errBad : _burstGe.errGood;
             return rate > 0 && _rng.chance(rate);
         }
-    }
-    if (_params.geEnabled) {
-        if (_geBad) {
-            if (_rng.chance(_params.geBadGood))
-                _geBad = false;
-        } else if (_rng.chance(_params.geGoodBad)) {
-            _geBad = true;
-        }
-        double rate = _geBad ? _params.geErrBad : _params.geErrGood;
-        return rate > 0 && _rng.chance(rate);
     }
     return _params.frameErrorRate > 0 &&
            _rng.chance(_params.frameErrorRate);

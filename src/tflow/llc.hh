@@ -97,17 +97,13 @@ class Wire : public sim::SimObject
 
     /**
      * Bring a failed wire back; does not resync LLC state by itself.
-     * Retrain leaves no error-model residue: the Gilbert-Elliott
-     * chain restarts in its good state and any transient burst
+     * Retrain leaves no error-model residue: any transient burst
      * window is cancelled, so a repaired wire never resumes
      * mid-burst (the outage outlives the disturbance it modelled).
      */
     void recover();
 
     bool failed() const { return _failed; }
-
-    /** Gilbert-Elliott chain currently in the bad state? */
-    bool chainBad() const { return _geBad; }
 
     /**
      * Open a transient Gilbert-Elliott burst-loss window: until
@@ -145,8 +141,6 @@ class Wire : public sim::SimObject
     bool _failed = false;
     /** Bumped on fail() so already-scheduled deliveries are dropped. */
     std::uint64_t _epoch = 0;
-    /** Gilbert-Elliott chain state (always-on model, params.geEnabled). */
-    bool _geBad = false;
     /** Transient burst window; 0 = inactive. */
     sim::Tick _burstUntil = 0;
     sim::fault::GilbertElliott _burstGe;

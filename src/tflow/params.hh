@@ -78,23 +78,12 @@ struct FlowParams
     std::uint32_t replayBufferFrames = 256;
     /** Tx-side safety retransmit timeout for unacked frames. */
     sim::Tick ackTimeout = sim::microseconds(20);
-    /** Per-frame probability of loss/corruption on the wire. */
-    double frameErrorRate = 0.0;
     /**
-     * Gilbert-Elliott burst-error model (two-state Markov chain per
-     * frame) as an always-on alternative to the i.i.d. coin flip
-     * above. When enabled (geEnabled), frameErrorRate is ignored and
-     * each frame draws its error from the current state's rate; the
-     * chain flips good->bad with geGoodBad and bad->good with
-     * geBadGood, so losses arrive in bursts of mean length
-     * 1 / geBadGood frames. Fault plans can also open transient
-     * burst windows with these dynamics regardless of geEnabled.
+     * Per-frame probability of loss/corruption on the wire. Fault
+     * plans can open transient Gilbert-Elliott burst windows on top
+     * (Wire::startBurst).
      */
-    bool geEnabled = false;
-    double geGoodBad = 0.0;  ///< P(good -> bad) per frame
-    double geBadGood = 1.0;  ///< P(bad -> good) per frame
-    double geErrGood = 0.0;  ///< frame-error rate in the good state
-    double geErrBad = 0.0;   ///< frame-error rate in the bad state
+    double frameErrorRate = 0.0;
     /**
      * Consecutive ack-timeout rounds (no cumulative-ack progress at
      * all) after which the Tx declares the channel dead and raises a

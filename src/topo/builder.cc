@@ -7,13 +7,12 @@
 #include "mem/addr.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "system/composition.hh"
 
 namespace tf::topo {
 
 namespace {
 
-/** Same bases the hand-wired rigs use (testbed.cc, rack.cc). */
-constexpr mem::Addr kWindowBase = 0x2000000000ULL;
 constexpr mem::Addr kLocalBase = 0x10000000ULL;
 constexpr mem::Addr kRpcBase = 0x300000000ULL;
 /** RPC service-buffer wrap, keeps the backing store bounded. */
@@ -43,9 +42,7 @@ struct Instance::Group
     std::unique_ptr<sim::Rng> rng;
     std::unique_ptr<sys::Node> node;
     std::unique_ptr<sys::Node> donorNode;
-    std::unique_ptr<flow::Datapath> datapath;
-    std::unique_ptr<ctrl::ControlPlane> cp;
-    std::unique_ptr<os::PageCache> cache;
+    std::unique_ptr<sys::Composition> composed;
     std::string donorName;
     std::uint64_t donatedBytes = 0;
 };
@@ -127,8 +124,7 @@ Instance::buildGroups()
         // replaying each other's draws.
         g->rng = std::make_unique<sim::Rng>(_opt.seed +
                                             index * 7919 + 1);
-        sys::NodeParams np = nodeParams(n);
-        g->node = std::make_unique<sys::Node>(n.name, eq, np);
+        g->node = std::make_unique<sys::Node>(n.name, eq, nodeParams(n));
 
         if (!n.donor.empty()) {
             const NodeSpec &d = *byName.at(n.donor);
@@ -137,60 +133,28 @@ Instance::buildGroups()
             g->donorNode = std::make_unique<sys::Node>(
                 d.name, eq, nodeParams(d));
 
-            // Replicates Testbed::composeDisaggregated: window twice
-            // the aligned donation so the RMMU has regrow headroom.
-            std::uint64_t window =
-                mem::alignUp(g->donatedBytes, np.sectionBytes) * 2;
             flow::FlowParams fp;
             fp.channels = static_cast<int>(n.channels);
             if (_opt.cutThrough)
                 fp.cutThrough = *_opt.cutThrough;
-            g->datapath = std::make_unique<flow::Datapath>(
-                n.name + ".tflow", eq, fp,
-                ocapi::M1Window{kWindowBase, window},
-                g->donorNode->pasids(), g->donorNode->dram(),
-                *g->rng, np.sectionBytes);
-            g->node->attachDatapath(*g->datapath);
-
-            g->cp = std::make_unique<ctrl::ControlPlane>(
-                np.agentToken);
-            g->cp->addUser("admin", ctrl::Role::Admin);
-            g->cp->registerHost(n.name, g->node->agent(),
-                                g->node->mm());
-            g->cp->registerHost(d.name, g->donorNode->agent(),
-                                g->donorNode->mm());
-            g->cp->registerDatapath(n.name, d.name, *g->datapath);
-            g->cp->setHoldDown(eq, sim::microseconds(5),
-                               sim::microseconds(80));
-            auto id = g->cp->allocate(
-                "admin", n.name, d.name, g->donatedBytes,
-                g->node->tflowNode(),
-                static_cast<int>(n.channels),
-                g->donorNode->localNode());
-            if (!id.has_value())
+            std::optional<os::PageCacheParams> cache;
+            if (n.cache.enabled) {
+                cache.emplace();
+                cache->frameBudget = n.cache.frameBudget;
+                cache->lineMlp = n.cache.lineMlp;
+                cache->lowWatermark = n.cache.lowWatermark;
+                cache->highWatermark = n.cache.highWatermark;
+            }
+            g->composed = std::make_unique<sys::Composition>(
+                n.name + ".", *g->node, *g->donorNode, fp, fp.channels,
+                g->donatedBytes, *g->rng, cache);
+            if (g->composed->allocationId == 0)
                 throw SpecError(
                     "topology \"" + _spec.name +
                     "\": composing host \"" + n.name +
                     "\" with donor \"" + d.name +
                     "\" failed — allocation rejected (donatedMiB "
                     "larger than the donor's bootable memory?)");
-
-            if (n.cache.enabled) {
-                os::PageCacheParams pcp;
-                pcp.pageBytes = np.pageBytes;
-                pcp.frameBudget = n.cache.frameBudget;
-                pcp.lineMlp = n.cache.lineMlp;
-                pcp.lowWatermark = n.cache.lowWatermark;
-                pcp.highWatermark = n.cache.highWatermark;
-                flow::Datapath *dp = g->datapath.get();
-                g->cache = std::make_unique<os::PageCache>(
-                    n.name + ".pagecache", eq, pcp, g->node->mm(),
-                    g->node->localNode(), g->node->dram(),
-                    [dp](mem::TxnPtr txn) {
-                        dp->issue(std::move(txn));
-                    });
-                g->node->attachPageCache(*g->cache);
-            }
         }
         _groupOf[n.name] = g.get();
         if (!g->donorName.empty())
@@ -248,17 +212,12 @@ Instance::buildFaults()
     for (auto &gp : _groups) {
         Group &g = *gp;
         sim::fault::Registry &reg = *_faultRegs.at(g.lp->id());
-        if (g.datapath)
-            g.datapath->registerFaultPoints(
-                reg, g.spec->name + ".tflow");
-        if (g.cp)
-            g.cp->registerFaultPoints(reg, g.spec->name + ".ctrl");
+        if (g.composed)
+            g.composed->registerFaultPoints(reg);
         g.node->dram().registerFaultPoints(reg, g.spec->name + ".dram");
         if (g.donorNode)
             g.donorNode->dram().registerFaultPoints(
                 reg, g.donorName + ".dram");
-        if (g.cache)
-            g.cache->registerFaultPoints(reg, g.spec->name + ".cache");
     }
     _fabric->registerFaultPoints(
         "fabric", [this](const sim::par::LogicalProcess *home) {
@@ -403,7 +362,7 @@ Instance::memoryOp(Runner &r)
         // half is the RMMU's regrow headroom.
         std::uint64_t span =
             std::max<std::uint64_t>(r.donated / 2, 4096);
-        addr = kWindowBase + (op * 256) % span;
+        addr = ocapi::kM1WindowBase + (op * 256) % span;
     } else {
         addr = kLocalBase + (op * 256) % (32ULL << 20);
     }
@@ -435,11 +394,8 @@ Instance::buildTimeline()
     sim::Tick window = sim::microseconds(widthUs);
 
     for (std::size_t i = 0; i < _engine->lpCount(); ++i) {
-        auto rec = std::make_unique<sim::timeline::Recorder>(
-            _engine->lp(i).queue(), window);
-        if (!_opt.dumpDir.empty())
-            rec->setDumpDir(_opt.dumpDir);
-        _recorders.push_back(std::move(rec));
+        _recorders.push_back(std::make_unique<sim::timeline::Recorder>(
+            _engine->lp(i).queue(), window));
     }
 
     // Traffic probes live on the stanza's source LP: per-window
@@ -583,17 +539,12 @@ Instance::registerStats(sim::StatsRegistry &reg)
 {
     for (auto &gp : _groups) {
         Group &g = *gp;
-        const std::string &host = g.spec->name;
-        if (g.datapath)
-            g.datapath->registerStats(reg, host + ".tflow");
-        if (g.cp)
-            g.cp->attachStats(reg.at(host + ".ctrl"));
-        g.node->dram().attachStats(reg.at(host + ".dram"));
+        if (g.composed)
+            g.composed->registerStats(reg);
+        g.node->dram().attachStats(reg.at(g.spec->name + ".dram"));
         if (g.donorNode)
             g.donorNode->dram().attachStats(
                 reg.at(g.donorName + ".dram"));
-        if (g.cache)
-            g.cache->attachStats(reg.at(host + ".cache"));
     }
     _fabric->registerStats(reg, "fabric");
     for (auto &rp : _runners) {

@@ -2,12 +2,11 @@
  * @file
  * Topology instantiation: Spec -> running simulation.
  *
- * An Instance turns a validated topo::Spec into the same wiring the
- * hand-written rigs use — sys::Node per node, flow::Datapath +
- * ctrl::ControlPlane per host/donor pair (replicating
- * Testbed::composeDisaggregated), optional page cache, a net::Fabric
- * over the declared switches and links, per-LP fault registries with
- * the scheduled FaultSpecs armed, and closed-loop traffic runners —
+ * An Instance turns a validated topo::Spec into a running rig — a
+ * sys::Node per node, a sys::Composition (datapath, control plane,
+ * optional page cache) per host/donor pair, a net::Fabric over the
+ * declared switches and links, per-LP fault registries with the
+ * scheduled FaultSpecs armed, and closed-loop traffic runners —
  * partitioned onto a sim::par::ParallelEngine so `--jobs N` stays
  * bit-identical to serial.
  *
@@ -30,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "ctrl/control_plane.hh"
 #include "net/switch.hh"
 #include "sim/fault/fault.hh"
 #include "sim/parallel/engine.hh"
@@ -55,8 +53,6 @@ struct BuildOptions
      * and off otherwise.
      */
     double timelineUs = 0.0;
-    /** Directory for SLO dumpFlight breach dumps ("" = cwd). */
-    std::string dumpDir;
 };
 
 class Instance

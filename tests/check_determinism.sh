@@ -26,7 +26,11 @@ if [ -z "$bench" ] || [ ! -x "$bench" ]; then
 fi
 
 workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT
+# tf_bench writes a panic's flight dump into its --out directory; move
+# any into the working directory, where CI collects them, before the
+# scratch tree goes.
+trap 'find "$workdir" -name "tf_flight_*.json" -exec mv {} . \; ;
+      rm -rf "$workdir"' EXIT
 
 scenarios="proto_datapath fig05_stream fig07_ycsb fig09_elastic"
 scenarios="$scenarios fault_soak cache_vs_migration fig01_datacenter"

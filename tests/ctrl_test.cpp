@@ -152,7 +152,7 @@ namespace {
 
 constexpr std::uint64_t kSection = 1 << 22; // 4 MiB
 constexpr std::uint64_t kPage = 64 * 1024;
-constexpr Addr kWindowBase = 0x2000000000ULL;
+constexpr Addr kWindowBase = ocapi::kM1WindowBase;
 constexpr std::uint64_t kWindowSize = 1ULL << 28;
 const std::string kAgentToken = "agent-secret";
 const std::string kAdmin = "admin-tok";
@@ -201,7 +201,7 @@ struct CtrlFixture : ::testing::Test
             ocapi::M1Window{kWindowBase, kWindowSize}, pasidsB,
             *dramB, rng, kSection);
 
-        cp = std::make_unique<ControlPlane>(kAgentToken);
+        cp = std::make_unique<ControlPlane>(eq, kAgentToken);
         cp->addUser(kAdmin, Role::Admin);
         cp->addUser(kObserver, Role::Observer);
         cp->registerHost("hostA", *agentA, *mmA);

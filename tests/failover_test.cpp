@@ -12,9 +12,8 @@
 #include <functional>
 
 #include "ctrl/control_plane.hh"
-#include "mem/dram.hh"
 #include "sim/fault/fault.hh"
-#include "tflow/llc.hh"
+#include "tflow/rig.hh"
 
 using namespace tf;
 using namespace tf::ctrl;
@@ -26,10 +25,8 @@ using tf::mem::TxnType;
 
 namespace {
 
-constexpr Addr kWindowBase = 0x2000000000ULL;
-constexpr std::uint64_t kWindowSize = 1ULL << 30;   // 1 GiB
-constexpr std::uint64_t kSectionBytes = 1ULL << 24; // 16 MiB
-constexpr Addr kDonorBase = 0x100000000ULL;
+constexpr Addr kWindowBase = ocapi::kM1WindowBase;
+constexpr Addr kDonorBase = flow::Rig::kDonorBase;
 
 /**
  * A four-channel datapath driven closed-loop. Channel bandwidth is
@@ -41,32 +38,25 @@ struct BondedFailoverFixture : ::testing::Test
 {
     sim::EventQueue eq;
     sim::Rng rng{7};
-    mem::BackingStore donorStore;
-    std::unique_ptr<mem::Dram> donorDram;
-    ocapi::PasidRegistry pasids;
-    flow::FlowParams params;
-    std::unique_ptr<flow::Datapath> dp;
+    flow::Rig rig{"dp", eq, bondedParams(), rng};
+    flow::Datapath *dp = &rig.dp;
 
-    void
-    SetUp() override
+    static flow::FlowParams
+    bondedParams()
     {
+        flow::FlowParams params;
         params.channels = 4;
         params.channelBps = 3.125e9; // stress-scaled (see above)
         params.hostLinkBps = 100e9;
         params.maxTags = 512;
         params.maxReplayRounds = 4;
         params.ackTimeout = sim::microseconds(2);
+        return params;
+    }
 
-        donorDram = std::make_unique<mem::Dram>(
-            "donorDram", eq, mem::DramParams{}, &donorStore);
-        dp = std::make_unique<flow::Datapath>(
-            "dp", eq, params,
-            ocapi::M1Window{kWindowBase, kWindowSize}, pasids,
-            *donorDram, rng, kSectionBytes);
-        ocapi::Pasid pasid = pasids.allocate();
-        ASSERT_TRUE(
-            pasids.registerRegion(pasid, kDonorBase, kWindowSize));
-        dp->stealing().setPasid(pasid);
+    void
+    SetUp() override
+    {
         dp->attach(0, kDonorBase, 1, {0, 1, 2, 3}); // bonded x4
     }
 
@@ -138,7 +128,7 @@ TEST_F(BondedFailoverFixture, LateTrafficOnADeadTxIsSalvaged)
     // so responses to requests that arrived on channel 0 finish
     // mastering after the channel died: each lands on the dead
     // donor-side Tx and is resent on the first survivor.
-    donorDram->stall(sim::microseconds(40));
+    rig.dram.stall(sim::microseconds(40));
     int ok = 0;
     auto read = [&](Addr addr) {
         auto txn = mem::makeTxn(TxnType::ReadReq, addr);
@@ -265,7 +255,6 @@ TEST_F(BondedFailoverFixture, RecoveredChannelDoesNotResumeMidBurst)
     // straight back down.
     dp->recoverChannel(0);
     EXPECT_FALSE(wire.burstActive());
-    EXPECT_FALSE(wire.chainBad());
 
     runPhase(2000, kWindow);
     EXPECT_FALSE(dp->channelDown(0));
@@ -309,48 +298,12 @@ TEST(LlcRecoverRegression, FlapLeavesNoEscalationResidue)
     EXPECT_EQ(ch.txA().consecTimeouts(), 0u);
 }
 
-TEST(LlcRecoverRegression, RecoverClearsGilbertElliottChainState)
-{
-    // The steady-state GE chain must restart in its good state after
-    // retrain: pGoodBad = 1 parks the chain bad on the first frame
-    // (error-free, so traffic still flows and the state is pure
-    // residue), and a recover() must clear it.
-    sim::EventQueue eq;
-    sim::Rng rng{4};
-    flow::FlowParams p;
-    p.geEnabled = true;
-    p.geGoodBad = 1.0;
-    p.geBadGood = 0.0;
-    p.geErrGood = 0.0;
-    p.geErrBad = 0.0;
-    flow::LlcChannel ch("ch", eq, p, rng);
-    int delivered = 0;
-    ch.rxB().connectSink([&](TxnPtr) { ++delivered; });
-    ch.rxA().connectSink([](TxnPtr) {});
-
-    ch.txA().enqueue(mem::makeTxn(TxnType::WriteReq, 0));
-    eq.run();
-    ASSERT_EQ(delivered, 1);
-    EXPECT_TRUE(ch.wireAB().chainBad());
-
-    ch.fail();
-    ch.recover();
-    EXPECT_FALSE(ch.wireAB().chainBad());
-    EXPECT_FALSE(ch.wireAB().burstActive());
-
-    ch.txA().enqueue(mem::makeTxn(TxnType::WriteReq, 128));
-    eq.run();
-    EXPECT_EQ(delivered, 2);
-    EXPECT_EQ(ch.wireAB().framesCorrupted(), 0u);
-}
-
 // ------------------------------------- control-plane orchestration
 
 namespace {
 
 constexpr std::uint64_t kSection = 1 << 22; // 4 MiB
 constexpr std::uint64_t kPage = 64 * 1024;
-constexpr Addr kCpWindowBase = 0x2000000000ULL;
 constexpr std::uint64_t kCpWindowSize = 1ULL << 28;
 const std::string kAgentToken = "agent-secret";
 const std::string kAdmin = "admin-tok";
@@ -406,10 +359,10 @@ struct RepairFixture : ::testing::Test
                                             &storeB);
         dp = std::make_unique<flow::Datapath>(
             "dp", eq, params,
-            ocapi::M1Window{kCpWindowBase, kCpWindowSize}, pasidsB,
+            ocapi::M1Window{kWindowBase, kCpWindowSize}, pasidsB,
             *dramB, rng, kSection);
 
-        cp = std::make_unique<ControlPlane>(kAgentToken);
+        cp = std::make_unique<ControlPlane>(eq, kAgentToken);
         cp->addUser(kAdmin, Role::Admin);
         cp->registerHost("hostA", *agentA, *mmA);
         cp->registerHost("hostB", *agentB, *mmB);
@@ -420,7 +373,7 @@ struct RepairFixture : ::testing::Test
     void
     scheduleReads(const agent::Attachment &att, int n, sim::Tick gap)
     {
-        Addr base = kCpWindowBase +
+        Addr base = kWindowBase +
                     static_cast<Addr>(att.sectionIndices.front()) *
                         kSection;
         for (int i = 0; i < n; ++i) {
@@ -504,8 +457,12 @@ TEST_F(RepairFixture, RecoveryGrowsBondedFlowBack)
     ASSERT_NE(rec, nullptr);
     EXPECT_EQ(rec->channels.size(), 1u);
 
-    // The channel comes back: the control plane regrows the bond.
+    // The channel comes back: after its hold-down the control plane
+    // regrows the bond.
     dp->recoverChannel(0);
+    EXPECT_EQ(cp->holdDowns(), 1u);
+    EXPECT_EQ(cp->regrows(), 0u);
+    eq.run();
     EXPECT_EQ(cp->regrows(), 1u);
     rec = cp->allocation(*id);
     ASSERT_NE(rec, nullptr);
@@ -520,7 +477,6 @@ TEST_F(RepairFixture, RecoveryGrowsBondedFlowBack)
 
 TEST_F(RepairFixture, FlapStormRegrowsOncePerFlapUnderHoldDown)
 {
-    cp->setHoldDown(eq, sim::microseconds(2), sim::microseconds(16));
     auto id = cp->allocate(kAdmin, "hostA", "hostB", kSection,
                            tflowNode, 2, localB);
     ASSERT_TRUE(id.has_value());
@@ -611,20 +567,13 @@ TEST(DeadlineFailover, PermanentDeathErrorCompletesEveryRequest)
     // every stuck request (TxnStatus::TimedOut) in bounded time.
     sim::EventQueue eq;
     sim::Rng rng{5};
-    mem::BackingStore store;
-    mem::Dram dram("dram", eq, mem::DramParams{}, &store);
-    ocapi::PasidRegistry pasids;
     flow::FlowParams p;
     p.channels = 2;
     p.maxReplayRounds = 3;
     p.ackTimeout = sim::microseconds(2);
     p.requestDeadline = sim::microseconds(40);
-    flow::Datapath dp("dp", eq, p,
-                      ocapi::M1Window{kWindowBase, kWindowSize},
-                      pasids, dram, rng, kSectionBytes);
-    ocapi::Pasid pasid = pasids.allocate();
-    ASSERT_TRUE(pasids.registerRegion(pasid, kDonorBase, kWindowSize));
-    dp.stealing().setPasid(pasid);
+    flow::Rig rig("dp", eq, p, rng);
+    flow::Datapath &dp = rig.dp;
     dp.attach(0, kDonorBase, 1, {0, 1});
 
     int done = 0;
@@ -675,28 +624,18 @@ struct TagReuseFixture : ::testing::Test
 {
     sim::EventQueue eq;
     sim::Rng rng{11};
-    mem::BackingStore donorStore;
-    std::unique_ptr<mem::Dram> donorDram;
-    ocapi::PasidRegistry pasids;
-    flow::FlowParams params;
-    std::unique_ptr<flow::Datapath> dp;
+    flow::Rig rig{"dp", eq, oneTag(), rng};
+    flow::Datapath *dp = &rig.dp;
 
-    void
-    SetUp() override
+    static flow::FlowParams
+    oneTag()
     {
+        flow::FlowParams params;
         params.maxTags = 1;
-        donorDram = std::make_unique<mem::Dram>(
-            "donorDram", eq, mem::DramParams{}, &donorStore);
-        dp = std::make_unique<flow::Datapath>(
-            "dp", eq, params,
-            ocapi::M1Window{kWindowBase, kWindowSize}, pasids,
-            *donorDram, rng, kSectionBytes);
-        ocapi::Pasid pasid = pasids.allocate();
-        ASSERT_TRUE(
-            pasids.registerRegion(pasid, kDonorBase, kWindowSize));
-        dp->stealing().setPasid(pasid);
-        dp->attach(0, kDonorBase, 1, {0});
+        return params;
     }
+
+    void SetUp() override { dp->attach(0, kDonorBase, 1, {0}); }
 };
 
 } // namespace

@@ -362,9 +362,9 @@ statValue(const sim::StatsRegistry &reg, const std::string &path,
 
 TEST(FaultTestbed, ControlOutageDefersLinkEventsOfAFlapInItsWindow)
 {
-    // No setHoldDown here: the testbed binds its control plane to the
-    // queue itself, so a "ctrl" outage is not a silent no-op. A flap
-    // inside the outage window reaches the plane late, deferred.
+    // A "ctrl" outage is not a silent no-op: the control plane runs
+    // its timers on the bed's queue. A flap inside the outage window
+    // reaches the plane late, deferred.
     sim::EventQueue eq;
     sys::TestbedParams tp;
     tp.setup = sys::Setup::BondingDisaggregated;

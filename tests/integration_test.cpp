@@ -11,9 +11,8 @@
 #include <map>
 
 #include "ctrl/control_plane.hh"
-#include "mem/dram.hh"
 #include "os/address_space.hh"
-#include "tflow/datapath.hh"
+#include "tflow/rig.hh"
 
 using namespace tf;
 using tf::mem::Addr;
@@ -22,10 +21,9 @@ using tf::mem::TxnType;
 
 namespace {
 
-constexpr Addr kWindowBase = 0x2000000000ULL;
+constexpr Addr kWindowBase = ocapi::kM1WindowBase;
 constexpr std::uint64_t kWindowSize = 1ULL << 28;
-constexpr std::uint64_t kSection = 1ULL << 24;
-constexpr Addr kDonorBase = 0x100000000ULL;
+constexpr std::uint64_t kSection = flow::Rig::kSection;
 
 struct FuzzParams
 {
@@ -45,22 +43,14 @@ TEST_P(DatapathFuzz, ShadowMemoryAgreesUnderRandomTraffic)
     const FuzzParams fp = GetParam();
     sim::EventQueue eq;
     sim::Rng rng(fp.seed);
-    mem::BackingStore store;
-    mem::Dram dram("donorDram", eq, mem::DramParams{}, &store);
-    ocapi::PasidRegistry pasids;
-
     flow::FlowParams params;
     params.frameErrorRate = fp.errorRate;
     params.ackTimeout = sim::microseconds(10);
-    flow::Datapath dp("dp", eq, params,
-                      ocapi::M1Window{kWindowBase, kWindowSize},
-                      pasids, dram, rng, kSection);
-    auto pasid = pasids.allocate();
-    ASSERT_TRUE(pasids.registerRegion(pasid, kDonorBase, kWindowSize));
-    dp.stealing().setPasid(pasid);
+    flow::Rig rig("dp", eq, params, rng);
+    flow::Datapath &dp = rig.dp;
     std::vector<int> channels = fp.bonded ? std::vector<int>{0, 1}
                                           : std::vector<int>{0};
-    dp.attach(0, kDonorBase, 1, channels);
+    dp.attach(0, flow::Rig::kDonorBase, 1, channels);
 
     // Shadow model: last value written per line. ThymesisFlow
     // guarantees per-line ordering only through completion: issue a
@@ -169,7 +159,7 @@ TEST(MultiTenant, TwoFlowsShareChannelsIndependently)
                       ocapi::M1Window{kWindowBase, kWindowSize},
                       pasidsB, dramB, rng, kSection);
 
-    ctrl::ControlPlane cp("tok");
+    ctrl::ControlPlane cp(eq, "tok");
     cp.addUser("admin", ctrl::Role::Admin);
     cp.registerHost("A", agentA, mmA);
     cp.registerHost("B", agentB, mmB);

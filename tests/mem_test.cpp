@@ -15,7 +15,7 @@
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/transaction.hh"
-#include "tflow/datapath.hh"
+#include "tflow/rig.hh"
 
 using namespace tf;
 using namespace tf::mem;
@@ -260,26 +260,15 @@ TEST(TxnPool, CloneKeepsIdAndTakesCompletionAndSink)
 
 TEST(TxnPool, DatapathRoundTripsAllocateNoTxnOrFrame)
 {
-    constexpr Addr kWindowBase = 0x2000000000ULL;
-    constexpr std::uint64_t kWindowSize = 1ULL << 30;
-    constexpr std::uint64_t kSection = 1ULL << 24;
-    constexpr Addr kDonorBase = 0x100000000ULL;
     constexpr int kWindow = 64;
 
     sim::EventQueue eq;
     sim::Rng rng(5);
-    BackingStore store;
-    Dram dram("donorDram", eq, DramParams{}, &store);
-    ocapi::PasidRegistry pasids;
     flow::FlowParams params;
     params.channels = 2;
-    flow::Datapath path("dp", eq, params,
-                        ocapi::M1Window{kWindowBase, kWindowSize},
-                        pasids, dram, rng, kSection);
-    ocapi::Pasid pasid = pasids.allocate();
-    ASSERT_TRUE(pasids.registerRegion(pasid, kDonorBase, kWindowSize));
-    path.stealing().setPasid(pasid);
-    path.attach(0, kDonorBase, 1, {0, 1});
+    flow::Rig rig("dp", eq, params, rng);
+    flow::Datapath &path = rig.dp;
+    path.attach(0, flow::Rig::kDonorBase, 1, {0, 1});
 
     // Closed loop, reads and writes alternating.
     int issued = 0, completed = 0, target = 0;
@@ -288,8 +277,9 @@ TEST(TxnPool, DatapathRoundTripsAllocateNoTxnOrFrame)
             return;
         bool write = issued % 2 == 1;
         auto txn = makeTxn(write ? TxnType::WriteReq : TxnType::ReadReq,
-                           kWindowBase + static_cast<Addr>(issued % 4096) *
-                                             cachelineBytes);
+                           ocapi::kM1WindowBase +
+                               static_cast<Addr>(issued % 4096) *
+                                   cachelineBytes);
         if (write)
             txn->data.assign(cachelineBytes, 3);
         ++issued;

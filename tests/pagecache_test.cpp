@@ -435,7 +435,7 @@ TEST(PageCacheTestbed, WindowAccessesRoundTripThroughCache)
     Testbed tb(eq, tp);
     ASSERT_NE(tb.pageCache(), nullptr);
 
-    constexpr mem::Addr kWindow = 0x2000000000ULL;
+    constexpr mem::Addr kWindow = ocapi::kM1WindowBase;
     constexpr int kPages = 16; // 2x the frame budget
     int completed = 0;
     auto touch = [&](int page, bool isWrite) {

@@ -13,9 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "mem/transaction.hh"
 #include "net/switch.hh"
-#include "opencapi/crossing.hh"
 #include "sim/parallel/engine.hh"
 #include "sim/rng.hh"
 #include "system/rack.hh"
@@ -313,28 +311,6 @@ TEST(ParallelNet, PartitionedLinkDeliversAtSerialTick)
     });
     engine.run();
     EXPECT_EQ(deliveredAt, sim::microseconds(12));
-}
-
-TEST(ParallelOcapi, CrossingStageDeliversOnRemoteLp)
-{
-    ParallelEngine engine(2);
-    LogicalProcess &a = engine.addLp("a");
-    LogicalProcess &b = engine.addLp("b");
-
-    ocapi::CrossingParams params;
-    params.latency = sim::nanoseconds(115);
-    ocapi::CrossingStage wire("wire", a.queue(), params);
-    wire.bindChannel(&engine.connect(a, b, params.latency));
-
-    Tick deliveredAt = 0;
-    wire.connect([&deliveredAt, &b](mem::TxnPtr) {
-        deliveredAt = b.queue().now();
-    });
-    a.queue().schedule(1000, [&wire] {
-        wire.push(mem::makeTxn(mem::TxnType::ReadReq, 0x1000));
-    });
-    engine.run();
-    EXPECT_EQ(deliveredAt, 1000 + sim::nanoseconds(115));
 }
 
 TEST(RackCluster, DeterministicAcrossWorkerCounts)

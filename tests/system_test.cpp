@@ -11,6 +11,7 @@
 #include "apps/stream.hh"
 #include "system/memory_path.hh"
 #include "system/testbed.hh"
+#include "tflow/rig.hh"
 
 using namespace tf;
 using namespace tf::sys;
@@ -38,27 +39,17 @@ TEST(NodeT, RoutesLocalAndRemote)
 {
     sim::EventQueue eq;
     sim::Rng rng(1);
-    NodeParams params;
-    Node nodeA("a", eq, params);
-    Node nodeB("b", eq, params);
-
-    flow::Datapath dp("dp", eq, flow::FlowParams{},
-                      ocapi::M1Window{0x2000000000ULL, 1ULL << 28},
-                      nodeB.pasids(), nodeB.dram(), rng,
-                      params.sectionBytes);
-    nodeA.attachDatapath(dp);
-    auto pasid = nodeB.pasids().allocate();
-    ASSERT_TRUE(nodeB.pasids().registerRegion(pasid, 0x100000000ULL,
-                                              1ULL << 28));
-    dp.stealing().setPasid(pasid);
-    dp.attach(0, 0x100000000ULL, 1, {0});
+    Node nodeA("a", eq, NodeParams{});
+    flow::Rig donor("dp", eq, flow::FlowParams{}, rng);
+    nodeA.attachDatapath(donor.dp);
+    donor.dp.attach(0, flow::Rig::kDonorBase, 1, {0});
 
     int completed = 0;
     auto local = mem::makeTxn(mem::TxnType::ReadReq, 0x1000);
     local->onComplete = [&](mem::MemTxn &) { ++completed; };
     nodeA.issue(local);
     auto remote =
-        mem::makeTxn(mem::TxnType::ReadReq, 0x2000000000ULL);
+        mem::makeTxn(mem::TxnType::ReadReq, ocapi::kM1WindowBase);
     remote->onComplete = [&](mem::MemTxn &) { ++completed; };
     nodeA.issue(remote);
     eq.run();

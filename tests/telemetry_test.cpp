@@ -12,10 +12,9 @@
 #include <memory>
 #include <sstream>
 
-#include "mem/dram.hh"
 #include "sim/json.hh"
 #include "sim/stats.hh"
-#include "tflow/datapath.hh"
+#include "tflow/rig.hh"
 
 using namespace tf;
 using tf::mem::Addr;
@@ -196,37 +195,28 @@ TEST(StatsRegistry, PathsSortedAndSubtreeReset)
 
 namespace {
 
-constexpr Addr kWindowBase = 0x2000000000ULL;
-constexpr std::uint64_t kWindowSize = 1ULL << 30;
-constexpr std::uint64_t kSectionBytes = 1ULL << 24;
-constexpr Addr kDonorBase = 0x100000000ULL;
-
 /** Two-channel bonded datapath with its stats registered. */
 struct TelemetryRig
 {
     sim::EventQueue eq;
     sim::Rng rng;
-    mem::BackingStore store;
-    std::unique_ptr<mem::Dram> dram;
-    ocapi::PasidRegistry pasids;
-    std::unique_ptr<flow::Datapath> dp;
+    flow::Rig bare;
+    flow::Datapath *dp = &bare.dp;
     sim::StatsRegistry reg;
 
-    explicit TelemetryRig(std::uint64_t seed) : rng(seed)
+    static flow::FlowParams
+    fastFailover()
     {
         flow::FlowParams params;
         params.maxReplayRounds = 4;
         params.ackTimeout = sim::microseconds(2);
-        dram = std::make_unique<mem::Dram>("donorDram", eq,
-                                           mem::DramParams{}, &store);
-        dp = std::make_unique<flow::Datapath>(
-            "dp", eq, params,
-            ocapi::M1Window{kWindowBase, kWindowSize}, pasids, *dram,
-            rng, kSectionBytes);
-        ocapi::Pasid pasid = pasids.allocate();
-        pasids.registerRegion(pasid, kDonorBase, kWindowSize);
-        dp->stealing().setPasid(pasid);
-        dp->attach(0, kDonorBase, 1, {0, 1});
+        return params;
+    }
+
+    explicit TelemetryRig(std::uint64_t seed)
+        : rng(seed), bare("dp", eq, fastFailover(), rng)
+    {
+        dp->attach(0, flow::Rig::kDonorBase, 1, {0, 1});
         dp->registerStats(reg, "tflow");
     }
 
@@ -237,7 +227,7 @@ struct TelemetryRig
         int done = 0;
         std::function<void()> pump = [&]() {
             while (issued < total && issued - done < 64) {
-                Addr addr = kWindowBase +
+                Addr addr = ocapi::kM1WindowBase +
                             static_cast<Addr>(issued % 1024) * 128;
                 auto txn = mem::makeTxn(TxnType::ReadReq, addr);
                 txn->onComplete = [&, expectSuccess](mem::MemTxn &t) {

@@ -8,8 +8,7 @@
 
 #include <map>
 
-#include "mem/dram.hh"
-#include "tflow/datapath.hh"
+#include "tflow/rig.hh"
 
 using namespace tf;
 using namespace tf::flow;
@@ -219,34 +218,22 @@ TEST(RoutingT, WeightedRouteRebalancesOnFailure)
 
 namespace {
 
-constexpr Addr kWindowBase = 0x2000000000ULL;
-constexpr std::uint64_t kWindowSize = 1ULL << 30;   // 1 GiB
-constexpr std::uint64_t kSectionBytes = 1ULL << 24; // 16 MiB (tests)
-constexpr Addr kDonorBase = 0x100000000ULL;
+constexpr Addr kWindowBase = ocapi::kM1WindowBase;
+constexpr std::uint64_t kSectionBytes = Rig::kSection;
+constexpr Addr kDonorBase = Rig::kDonorBase;
 
 struct DatapathFixture : ::testing::Test
 {
     sim::EventQueue eq;
     sim::Rng rng{2024};
-    mem::BackingStore donorStore;
-    std::unique_ptr<mem::Dram> donorDram;
-    ocapi::PasidRegistry pasids;
-    std::unique_ptr<Datapath> dp;
-    ocapi::Pasid pasid = ocapi::invalidPasid;
+    std::unique_ptr<Rig> rig;
+    Datapath *dp = nullptr;
 
     void
     build(FlowParams params = FlowParams{})
     {
-        donorDram = std::make_unique<mem::Dram>(
-            "donorDram", eq, mem::DramParams{}, &donorStore);
-        dp = std::make_unique<Datapath>(
-            "dp", eq, params,
-            ocapi::M1Window{kWindowBase, kWindowSize}, pasids,
-            *donorDram, rng, kSectionBytes);
-        pasid = pasids.allocate();
-        ASSERT_TRUE(
-            pasids.registerRegion(pasid, kDonorBase, kWindowSize));
-        dp->stealing().setPasid(pasid);
+        rig = std::make_unique<Rig>("dp", eq, params, rng);
+        dp = &rig->dp;
         // Map section 0 un-bonded on channel 0.
         dp->attach(0, kDonorBase, 1, {0});
     }
@@ -290,7 +277,7 @@ TEST_F(DatapathFixture, WriteThenReadRoundTripsData)
 
     // The bytes physically live in donor memory at the donor base.
     std::vector<std::uint8_t> donor_bytes(128);
-    donorStore.read(kDonorBase + 0x4000, donor_bytes.data(), 128);
+    rig->store.read(kDonorBase + 0x4000, donor_bytes.data(), 128);
     EXPECT_EQ(donor_bytes, payload);
 }
 

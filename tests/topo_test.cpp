@@ -623,6 +623,25 @@ TEST(TopoBuildT, UnknownFaultPointIsASpecError)
     }
 }
 
+TEST(TopoBuildT, RejectedDonationIsASpecError)
+{
+    // 4 GiB from a donor that boots with 1 GiB: the control plane
+    // rejects the allocation, and the build names both nodes.
+    std::string text(kValid);
+    const std::string from = R"("donatedMiB": 32)";
+    text.replace(text.find(from), from.size(), R"("donatedMiB": 4096)");
+    Spec spec = topo::parseSpec(text, "mini.json");
+    try {
+        topo::Instance inst(spec, topo::BuildOptions{});
+        FAIL() << "expected SpecError for a rejected donation";
+    } catch (const SpecError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      R"(composing host "h0" with donor "d0" failed)"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 namespace {
 
 /** Attached stat @p name of the set at @p path (-1 when absent). */
@@ -855,7 +874,7 @@ TEST(TopoMonitorsT, UnknownMetricIsABuildErrorListingSeries)
 TEST(TopoMonitorsT, DumpFlightBreachWritesIntoDumpDir)
 {
     // A rule that trips in its first window dumps the owning LP's
-    // flight ring, once, into the build's dumpDir.
+    // flight ring, once, into the process dump directory.
     std::string text(kValid);
     auto pos = text.rfind('}');
     ASSERT_NE(pos, std::string::npos);
@@ -869,15 +888,15 @@ TEST(TopoMonitorsT, DumpFlightBreachWritesIntoDumpDir)
             .string();
     ASSERT_NE(mkdtemp(tmpl.data()), nullptr);
     const std::filesystem::path dir(tmpl);
-    topo::BuildOptions opt;
-    opt.dumpDir = dir.string();
+    sim::trace::setDumpDir(dir.string());
     {
-        topo::Instance inst(spec, opt);
+        topo::Instance inst(spec, topo::BuildOptions{});
         inst.run();
         EXPECT_EQ(inst.sloResults().size(), 1u);
         EXPECT_TRUE(!inst.sloResults().empty() &&
                     inst.sloResults()[0].violations >= 1);
     }
+    sim::trace::setDumpDir("");
     std::ifstream in(dir / "tf_slo_any_mem.json");
     std::stringstream body;
     body << in.rdbuf();

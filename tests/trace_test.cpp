@@ -8,17 +8,17 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <dirent.h>
+#include <stdlib.h>
+
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 
-#include "mem/dram.hh"
 #include "sim/logging.hh"
 #include "sim/trace/export.hh"
-#include "tflow/datapath.hh"
+#include "tflow/rig.hh"
 
 using namespace tf;
 using namespace tf::flow;
@@ -89,35 +89,23 @@ TEST(TraceBufferT, NoTraceHooksAreNoOps)
 
 namespace {
 
-constexpr Addr kWindowBase = 0x2000000000ULL;
-constexpr std::uint64_t kWindowSize = 1ULL << 30;
-constexpr std::uint64_t kSectionBytes = 1ULL << 24;
-constexpr Addr kDonorBase = 0x100000000ULL;
+constexpr Addr kWindowBase = ocapi::kM1WindowBase;
+constexpr std::uint64_t kSectionBytes = Rig::kSection;
 
 struct TraceFixture : ::testing::Test
 {
     sim::EventQueue eq;
     sim::Rng rng{2024};
-    mem::BackingStore donorStore;
-    std::unique_ptr<mem::Dram> donorDram;
-    ocapi::PasidRegistry pasids;
-    std::unique_ptr<Datapath> dp;
+    std::unique_ptr<Rig> rig;
+    Datapath *dp = nullptr;
 
     void
     build(FlowParams params = FlowParams{})
     {
         eq.trace().setFull(true);
-        donorDram = std::make_unique<mem::Dram>(
-            "donorDram", eq, mem::DramParams{}, &donorStore);
-        dp = std::make_unique<Datapath>(
-            "dp", eq, params,
-            ocapi::M1Window{kWindowBase, kWindowSize}, pasids,
-            *donorDram, rng, kSectionBytes);
-        ocapi::Pasid pasid = pasids.allocate();
-        ASSERT_TRUE(
-            pasids.registerRegion(pasid, kDonorBase, kWindowSize));
-        dp->stealing().setPasid(pasid);
-        dp->attach(0, kDonorBase, 1, {0});
+        rig = std::make_unique<Rig>("dp", eq, params, rng);
+        dp = &rig->dp;
+        dp->attach(0, Rig::kDonorBase, 1, {0});
     }
 
     /** Issue @p count chained reads with @p outstanding in flight. */
@@ -266,20 +254,11 @@ TEST(TraceTilingT, StageDurationsTileUnderBothFramingModes)
         sim::EventQueue eq;
         eq.trace().setFull(true);
         sim::Rng rng{2024};
-        mem::BackingStore donorStore;
-        mem::Dram donorDram(
-            "donorDram", eq, mem::DramParams{}, &donorStore);
-        ocapi::PasidRegistry pasids;
         FlowParams params;
         params.cutThrough = ct;
-        Datapath dp("dp", eq, params,
-                    ocapi::M1Window{kWindowBase, kWindowSize}, pasids,
-                    donorDram, rng, kSectionBytes);
-        ocapi::Pasid pasid = pasids.allocate();
-        ASSERT_TRUE(
-            pasids.registerRegion(pasid, kDonorBase, kWindowSize));
-        dp.stealing().setPasid(pasid);
-        dp.attach(0, kDonorBase, 1, {0});
+        Rig rig("dp", eq, params, rng);
+        Datapath &dp = rig.dp;
+        dp.attach(0, Rig::kDonorBase, 1, {0});
 
         const int total = 64;
         int issued = 0;
@@ -375,30 +354,45 @@ TEST_F(TraceFixture, PerfettoExportIsWellFormed)
 
 namespace {
 
-std::vector<std::string>
-flightDumps()
+/**
+ * A fresh dump directory of the test's own, set as the process dump
+ * directory and removed with its contents at the end, so no other
+ * test's dumps are ever seen here. The death tests fork their child
+ * ("fast" style) so it inherits the setting.
+ */
+struct FlightDumpDir
 {
-    std::vector<std::string> out;
-    DIR *dir = ::opendir(".");
-    if (dir == nullptr)
-        return out;
-    while (struct dirent *ent = ::readdir(dir)) {
-        std::string name = ent->d_name;
-        if (name.rfind("tf_flight_", 0) == 0 &&
-            name.size() > 5 &&
-            name.compare(name.size() - 5, 5, ".json") == 0)
-            out.push_back(name);
-    }
-    ::closedir(dir);
-    return out;
-}
+    std::filesystem::path path;
 
-void
-removeFlightDumps()
-{
-    for (const auto &name : flightDumps())
-        std::remove(name.c_str());
-}
+    FlightDumpDir()
+    {
+        std::string tmpl =
+            (std::filesystem::temp_directory_path() / "flight_dumps_XXXXXX")
+                .string();
+        EXPECT_NE(::mkdtemp(tmpl.data()), nullptr);
+        path = tmpl;
+        trace::setDumpDir(path.string());
+    }
+
+    ~FlightDumpDir()
+    {
+        trace::setDumpDir("");
+        std::filesystem::remove_all(path);
+    }
+
+    std::vector<std::filesystem::path>
+    dumps() const
+    {
+        std::vector<std::filesystem::path> out;
+        for (const auto &ent : std::filesystem::directory_iterator(path)) {
+            std::string name = ent.path().filename().string();
+            if (name.rfind("tf_flight_", 0) == 0 &&
+                ent.path().extension() == ".json")
+                out.push_back(ent.path());
+        }
+        return out;
+    }
+};
 
 } // namespace
 
@@ -406,12 +400,12 @@ using FlightRecorderDeathTest = TraceFixture;
 
 TEST_F(FlightRecorderDeathTest, PanicDumpsLastSpans)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    removeFlightDumps();
+    ::testing::FLAGS_gtest_death_test_style = "fast";
+    FlightDumpDir dir;
 
-    // The child re-runs the statement: drive sampled flight-mode
-    // traffic (the fixture's setFull is overridden back to flight
-    // mode), then hit an assertion.
+    // The child drives sampled flight-mode traffic (the fixture's
+    // setFull is overridden back to flight mode), then hits an
+    // assertion.
     EXPECT_DEATH(
         {
             build();
@@ -419,9 +413,9 @@ TEST_F(FlightRecorderDeathTest, PanicDumpsLastSpans)
             pump(200);
             TF_ASSERT(false, "forced failure for the recorder");
         },
-        "flight recorder: .* dumped to tf_flight_");
+        "flight recorder: .* dumped to .*tf_flight_");
 
-    auto dumps = flightDumps();
+    auto dumps = dir.dumps();
     ASSERT_EQ(dumps.size(), 1u);
     std::ifstream in(dumps.front());
     std::stringstream ss;
@@ -431,7 +425,6 @@ TEST_F(FlightRecorderDeathTest, PanicDumpsLastSpans)
     EXPECT_NE(json.find("\"tagQueue\""), std::string::npos);
     EXPECT_NE(json.find("forced failure for the recorder"),
               std::string::npos);
-    removeFlightDumps();
 }
 
 TEST_F(FlightRecorderDeathTest, FatalDoesNotDumpFlight)
@@ -442,8 +435,8 @@ TEST_F(FlightRecorderDeathTest, FatalDoesNotDumpFlight)
     // flight dump would bury the actionable message under an
     // irrelevant wall of JSON. Pin both halves: exit code 1, no
     // tf_flight_*.json left behind.
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    removeFlightDumps();
+    ::testing::FLAGS_gtest_death_test_style = "fast";
+    FlightDumpDir dir;
 
     EXPECT_EXIT(
         {
@@ -455,7 +448,7 @@ TEST_F(FlightRecorderDeathTest, FatalDoesNotDumpFlight)
         ::testing::ExitedWithCode(1),
         "configuration rejected: bad knob");
 
-    EXPECT_TRUE(flightDumps().empty());
+    EXPECT_TRUE(dir.dumps().empty());
 }
 
 // ------------------------------------------------------- TF_DEBUG
