@@ -65,7 +65,7 @@ HIGHER_IS_BETTER_HINTS = (
     "GiBs", "Bps", "hit", "ops", "Ops", "accesses", "txns",
     "windows", "eventsPerSec", "eventsTotal", "fills", "evictions",
     "writebacks", "Pages", "Alive", "faultsFired", "VsLocal",
-    "count", "copy", "Msgs", "speedup", "jobsParallel",
+    "count", "copy", "Msgs", "speedup",
     "Off", "placed", "ipc",
 )
 

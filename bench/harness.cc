@@ -5,7 +5,6 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -495,25 +494,27 @@ parseUnsigned(const char *flag, const char *text, std::uint64_t max,
 }
 
 /**
- * As parseUnsigned() for a finite, strictly positive decimal number
- * (no sign, no unit suffix).
+ * As parseUnsigned() for a duration in microseconds (a decimal number,
+ * no sign, no unit suffix) of at least one tick that a Tick can hold.
  */
 bool
-parsePositive(const char *flag, const char *text, double &out)
+parseDurationUs(const char *flag, const char *text, double &out)
 {
     errno = 0;
     char *end = nullptr;
     double v = std::strtod(text, &end);
     bool digitFirst = std::isdigit(static_cast<unsigned char>(text[0])) ||
                       text[0] == '.';
-    if (digitFirst && *end == '\0' && errno != ERANGE && std::isfinite(v) &&
-        v > 0) {
+    const double perUs = static_cast<double>(sim::ticksPerUs);
+    if (digitFirst && *end == '\0' && errno != ERANGE && v * perUs >= 1 &&
+        v * perUs < sim::tickRange) {
         out = v;
         return true;
     }
     std::fprintf(stderr,
-                 "tf_bench: %s '%s': expected a positive number\n", flag,
-                 text);
+                 "tf_bench: %s '%s': expected microseconds in "
+                 "[%g, %g)\n",
+                 flag, text, 1 / perUs, sim::tickRange / perUs);
     return false;
 }
 
@@ -569,8 +570,8 @@ main(int argc, char **argv)
         } else if (arg == "--trace" && i + 1 < argc) {
             opt.traceFile = argv[++i];
         } else if (arg == "--timeline-window" && i + 1 < argc) {
-            if (!parsePositive("--timeline-window", argv[++i],
-                               opt.timelineUs))
+            if (!parseDurationUs("--timeline-window", argv[++i],
+                                 opt.timelineUs))
                 return 2;
         } else if (arg == "--cut-through" && i + 1 < argc) {
             std::string v = argv[++i];

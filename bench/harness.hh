@@ -60,8 +60,7 @@ class ScenarioContext
     /** True = CI-sized run (short ticks); false = full figure. */
     bool smoke() const { return _smoke; }
 
-    /** Worker-thread budget (--jobs); 1 = fully serial. */
-    unsigned jobs() const { return _jobs; }
+    /** Threads runPoints() may use (--jobs); 1 = fully serial. */
     void setJobs(unsigned jobs) { _jobs = jobs ? jobs : 1; }
 
     /** Directory scenario output files belong under (--out). */
@@ -161,7 +160,7 @@ class ScenarioContext
 
     /**
      * Run @p count independent data points, possibly concurrently on
-     * jobs() threads. Each point gets a private sub-context (same
+     * --jobs threads. Each point gets a private sub-context (same
      * scenario/seed/smoke, jobs = 1); @p fn must confine itself to
      * that sub-context and its own beds, and freeze any registered
      * stats before its components die — exactly the discipline the

@@ -9,7 +9,6 @@ runTopoScenario(ScenarioContext &ctx, const topo::Spec &spec)
 {
     topo::BuildOptions opt;
     opt.seed = ctx.seed();
-    opt.jobs = ctx.jobs();
     opt.smoke = ctx.smoke();
     opt.cutThrough = ctx.cutThroughOverride();
     opt.timelineUs = ctx.timelineWindowUs();

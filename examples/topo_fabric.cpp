@@ -1,16 +1,15 @@
 /**
  * Declarative topology walkthrough: load a JSON topology file, build
- * it onto the parallel engine, run every traffic stanza, and print
- * the per-stanza latency picture plus the fabric's hop counters.
+ * it onto the LP engine, run every traffic stanza, and print the
+ * per-stanza latency picture plus the fabric's hop counters.
  *
- *   ./topo_fabric [configs/ring.json] [jobs]
+ *   ./topo_fabric [configs/ring.json]
  *
  * The same file drives `tf_bench --topo FILE`; this example is the
  * minimal programmatic consumer.
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "topo/builder.hh"
 
@@ -21,10 +20,6 @@ main(int argc, char **argv)
 
     std::string file =
         argc > 1 ? argv[1] : std::string("configs/ring.json");
-    unsigned jobs =
-        argc > 2
-            ? static_cast<unsigned>(std::strtoul(argv[2], nullptr, 0))
-            : 1;
 
     try {
         topo::Spec spec = topo::loadSpecFile(file);
@@ -36,10 +31,8 @@ main(int argc, char **argv)
 
         topo::BuildOptions opt;
         opt.smoke = true; // example-sized run
-        opt.jobs = jobs;
         topo::Instance inst(spec, opt);
-        std::printf("built %zu logical processes (jobs %u)\n",
-                    inst.lpCount(), jobs);
+        std::printf("built %zu logical processes\n", inst.lpCount());
 
         inst.run();
 

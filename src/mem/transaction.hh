@@ -10,11 +10,11 @@
  * masters them into donor memory. Responses retrace the arrival channel.
  *
  * Lifetime (DESIGN.md §19): a transaction is pooled and reached through
- * TxnPtr, a counted handle. The count is not atomic, so one logical
- * process owns a transaction at a time: every handle to it is copied
- * and dropped on that LP's thread, and a transaction crosses to another
- * LP only by moving its last handle through a channel. The last release
- * returns the object to a per-thread freelist.
+ * TxnPtr, a counted handle. The count is not atomic: a simulation runs
+ * on one thread, and no two threads share a transaction. One logical
+ * process owns a transaction at a time, and a transaction crosses to
+ * another LP only by moving its last handle through a channel. The last
+ * release returns the object to a per-thread freelist.
  */
 
 #ifndef TF_MEM_TRANSACTION_HH

@@ -535,6 +535,7 @@ PageCache::poisonCleanPage()
         }
         return true;
     }
+    _poisonSkipped.inc();
     return false;
 }
 
@@ -604,6 +605,8 @@ PageCache::attachStats(sim::StatSet &set)
                "hits on a frame mid write-back");
     set.attach("poisonedFrames", _poisonedFrames, "frames",
                "frames retired by injected hwpoison");
+    set.attach("poisonSkipped", _poisonSkipped, "faults",
+               "injected hwpoison that found no clean frame");
     set.attach("providerRuns", _providerRuns, "runs",
                "background page-provider wakeups");
     set.attach("providerDeferrals", _providerDeferrals, "runs",

@@ -115,7 +115,8 @@ class PageCache : public sim::SimObject
      * dropped from the table — since it was clean the donor still has
      * the truth and the next touch refaults through the miss path —
      * the frame is retired via MemoryManager::poisonPage, and a
-     * replacement frame is allocated to keep the budget whole.
+     * replacement frame is allocated to keep the budget whole. With
+     * no clean frame resident it only counts in poisonSkipped().
      * @return true when a frame was poisoned.
      */
     bool poisonCleanPage();
@@ -138,6 +139,7 @@ class PageCache : public sim::SimObject
     std::uint64_t wbErrors() const { return _wbErrors.value(); }
     std::uint64_t rescues() const { return _rescues.value(); }
     std::uint64_t poisonedFrames() const { return _poisonedFrames.value(); }
+    std::uint64_t poisonSkipped() const { return _poisonSkipped.value(); }
     std::uint64_t providerRuns() const { return _providerRuns.value(); }
     std::uint64_t providerDeferrals() const
     {
@@ -260,6 +262,7 @@ class PageCache : public sim::SimObject
     sim::Counter _wbErrors;
     sim::Counter _rescues;
     sim::Counter _poisonedFrames;
+    sim::Counter _poisonSkipped;
     sim::Counter _providerRuns;
     sim::Counter _providerDeferrals;
     sim::Summary _hitRate;

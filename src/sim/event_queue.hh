@@ -170,9 +170,9 @@ class EventQueue
 
     /**
      * This queue's span-trace buffer (see src/sim/trace). One buffer
-     * per queue keeps recording single-writer in the parallel engine
-     * (one LP = one queue = one thread), which is what lets the
-     * tracing layer stay lock-free.
+     * per queue keeps recording single-writer (a queue only ever runs
+     * on one thread), which is what lets the tracing layer stay
+     * lock-free.
      */
     trace::TraceBuffer &trace() { return _trace; }
     const trace::TraceBuffer &trace() const { return _trace; }

@@ -1,32 +1,10 @@
 #include "sim/parallel/engine.hh"
 
 #include <algorithm>
-#include <barrier>
-#include <chrono>
-#include <thread>
 
 #include "sim/logging.hh"
 
 namespace tf::sim::par {
-
-namespace {
-
-/** Per-worker accumulator, padded against false sharing. */
-struct alignas(64) WorkerSlot
-{
-    std::uint64_t waitNs = 0;
-};
-
-std::uint64_t
-nowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-} // namespace
 
 LogicalProcess &
 ParallelEngine::addLp(std::string name)
@@ -90,13 +68,6 @@ ParallelEngine::windowRunTo(Tick floor, Tick la, Tick limit) const
 }
 
 void
-ParallelEngine::runLp(LogicalProcess &lp, Tick runTo)
-{
-    if (lp.queue().run(runTo) > 0)
-        lp._activeWindows.inc();
-}
-
-void
 ParallelEngine::mergeChannels()
 {
     for (auto &lp : _lps) {
@@ -109,9 +80,9 @@ ParallelEngine::mergeChannels()
         }
         if (_mergeScratch.empty())
             continue;
-        // Deterministic total order on deliveries: the thread that
-        // produced a message can never influence where it lands in
-        // the destination's event sequence.
+        // Deterministic total order on deliveries: the order in
+        // which the window ran its LPs never decides where a message
+        // lands in the destination's event sequence.
         std::sort(_mergeScratch.begin(), _mergeScratch.end(),
                   [](const MergeItem &a, const MergeItem &b) {
                       if (a.when != b.when)
@@ -137,8 +108,9 @@ ParallelEngine::mergeChannels()
 }
 
 std::uint64_t
-ParallelEngine::runSerial(Tick limit)
+ParallelEngine::run(Tick limit)
 {
+    TF_ASSERT(!_lps.empty(), "engine has no logical processes");
     const std::uint64_t start = executed();
     const Tick la = lookahead();
     mergeChannels(); // traffic deposited before the run began
@@ -148,106 +120,22 @@ ParallelEngine::runSerial(Tick limit)
             break;
         Tick runTo = windowRunTo(floor, la, limit);
         for (auto &lp : _lps)
-            runLp(*lp, runTo);
+            if (lp->queue().run(runTo) > 0)
+                lp->_activeWindows.inc();
         mergeChannels();
         _windows.inc();
     }
-    finishRun(limit);
-    return executed() - start;
-}
-
-std::uint64_t
-ParallelEngine::runParallel(Tick limit, unsigned workers)
-{
-    const std::uint64_t start = executed();
-    const Tick la = lookahead();
-    const std::size_t nLps = _lps.size();
-    mergeChannels(); // traffic deposited before the run began
-
-    std::barrier<> bar(workers);
-    std::vector<WorkerSlot> slots(workers);
-    _stop = false;
-
-    // Static LP-to-worker assignment: LP i belongs to worker
-    // i % workers for the whole run, so an LP's queue is only ever
-    // touched by one thread between barriers and its barrier-wait
-    // attribution is well defined.
-    auto workerShare = [this, nLps](unsigned w, unsigned stride,
-                                    Tick runTo) {
-        for (std::size_t i = w; i < nLps; i += stride)
-            runLp(*_lps[i], runTo);
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (unsigned w = 1; w < workers; ++w) {
-        pool.emplace_back([this, &bar, &slots, workerShare, w,
-                           workers]() {
-            while (true) {
-                bar.arrive_and_wait(); // window start / stop signal
-                if (_stop)
-                    return;
-                workerShare(w, workers, _runTo);
-                std::uint64_t t0 = nowNs();
-                bar.arrive_and_wait(); // window end
-                slots[w].waitNs += nowNs() - t0;
-            }
-        });
-    }
-
-    while (true) {
-        // All workers are parked at the start barrier here, so the
-        // queues are quiescent and the floor scan is race-free.
-        Tick floor = minNextEventTick();
-        if (floor == maxTick || floor > limit)
-            break;
-        _runTo = windowRunTo(floor, la, limit);
-        bar.arrive_and_wait(); // publish _runTo, open the window
-        workerShare(0, workers, _runTo);
-        std::uint64_t t0 = nowNs();
-        bar.arrive_and_wait(); // window end
-        slots[0].waitNs += nowNs() - t0;
-        mergeChannels();
-        _windows.inc();
-    }
-
-    _stop = true;
-    bar.arrive_and_wait(); // release workers into the stop check
-    for (auto &t : pool)
-        t.join();
-
-    for (std::size_t i = 0; i < nLps; ++i)
-        _lps[i]->_barrierWaitNs.inc(slots[i % workers].waitNs);
-
-    finishRun(limit);
-    return executed() - start;
-}
-
-void
-ParallelEngine::finishRun(Tick limit)
-{
     // Match EventQueue::run semantics: a finite limit leaves every
     // clock at the limit even when a queue drained early.
     if (limit != maxTick)
         for (auto &lp : _lps)
             lp->queue().run(limit);
-}
-
-std::uint64_t
-ParallelEngine::run(Tick limit)
-{
-    TF_ASSERT(!_lps.empty(), "engine has no logical processes");
-    unsigned workers = std::max(1u, _jobs);
-    workers = static_cast<unsigned>(
-        std::min<std::size_t>(workers, _lps.size()));
-    if (workers <= 1)
-        return runSerial(limit);
-    return runParallel(limit, workers);
+    return executed() - start;
 }
 
 void
 ParallelEngine::attachStats(StatsRegistry &reg,
-                            const std::string &prefix, bool wallClock)
+                            const std::string &prefix)
 {
     StatSet &top = reg.at(prefix);
     top.attach("windows", _windows, "windows",
@@ -266,10 +154,6 @@ ParallelEngine::attachStats(StatsRegistry &reg,
                    "windows in which this LP executed events");
         set.attach("merged", lp->_merged, "msgs",
                    "messages merged into this LP");
-        if (wallClock)
-            set.attach("barrierWaitNs", lp->_barrierWaitNs, "ns",
-                       "owning worker's wall-clock wait at "
-                       "window-end barriers");
     }
     for (auto &ch : _channels)
         ch->attachStats(

@@ -1,6 +1,6 @@
 /**
  * @file
- * Conservative parallel discrete-event engine.
+ * Conservative windowed discrete-event engine over logical processes.
  *
  * The simulation is partitioned into logical processes (LPs), each
  * owning a private EventQueue (src/sim/event_queue.hh) — one kernel
@@ -12,26 +12,22 @@
  *
  * Execution proceeds in bounded windows. Each round the engine
  * computes the global floor F (the earliest pending event across all
- * LPs), then every LP independently executes its events in
- * [F, F + L): no message sent during the window can be due before
- * F + L, so no LP can affect another inside the window and the LPs
- * are free to run on separate worker threads. At the window barrier
- * the engine drains every channel and merges the messages into the
+ * LPs), then runs every LP's events in [F, F + L), in LP-id order: no
+ * message sent during the window can be due before F + L, so no LP
+ * can affect another inside the window. At the window's end the
+ * engine drains every channel and merges the messages into the
  * destination queues sorted by (tick, source LP, channel, sequence).
  *
- * Determinism: window boundaries are a pure function of queue state,
- * per-LP execution is single-threaded and seeded, and the barrier
- * merge imposes a fixed total order on cross-LP deliveries. The
- * worker count therefore cannot change any simulation outcome:
- * `jobs = 1` (which spawns no threads at all) and `jobs = N` produce
- * bit-identical event orderings, tick clocks, and statistics. With a
+ * Everything runs on the calling thread. The partitioning is what
+ * composes multi-node rigs (sys::RackCluster, topo::Instance), and
+ * the windows and the sorted merge fix their event order. With a
  * single LP — or no channels — the engine degenerates to plain
- * EventQueue::run semantics in the calling thread.
+ * EventQueue::run semantics.
  *
- * Threading contract for components: everything built on an LP's
- * queue belongs to that LP; cross-partition interaction must go
- * through a LinkChannel (net::Fabric and ocapi::CrossingStage can
- * route through one — see their bindChannel/assign APIs).
+ * Contract for components: everything built on an LP's queue belongs
+ * to that LP; cross-partition interaction must go through a
+ * LinkChannel (net::Fabric routes through them — see its
+ * assign/partition API).
  */
 
 #ifndef TF_SIM_PARALLEL_ENGINE_HH
@@ -49,8 +45,7 @@ namespace tf::sim::par {
 class ParallelEngine
 {
   public:
-    /** @param jobs worker-thread budget; clamped to the LP count. */
-    explicit ParallelEngine(unsigned jobs = 1) : _jobs(jobs) {}
+    ParallelEngine() = default;
 
     ParallelEngine(const ParallelEngine &) = delete;
     ParallelEngine &operator=(const ParallelEngine &) = delete;
@@ -67,17 +62,13 @@ class ParallelEngine
     LinkChannel &connect(LogicalProcess &src, LogicalProcess &dst,
                          Tick minLatency, std::string name = "");
 
-    void setJobs(unsigned jobs) { _jobs = jobs; }
-    unsigned jobs() const { return _jobs; }
-
     /** Current lookahead; maxTick when no channels exist. */
     Tick lookahead() const;
 
     /**
-     * Run every LP's events up to and including @p limit (windowed,
-     * on min(jobs, lpCount) threads when jobs > 1). Returns events
-     * executed. Like EventQueue::run, a finite limit warps every
-     * LP's clock to @p limit on return.
+     * Run every LP's events up to and including @p limit, window by
+     * window. Returns events executed. Like EventQueue::run, a finite
+     * limit warps every LP's clock to @p limit on return.
      */
     std::uint64_t run(Tick limit = maxTick);
 
@@ -85,7 +76,6 @@ class ParallelEngine
     LogicalProcess &lp(std::size_t i) { return *_lps.at(i); }
 
     std::size_t channelCount() const { return _channels.size(); }
-    LinkChannel &channel(std::size_t i) { return *_channels.at(i); }
 
     /** Synchronization windows executed over the engine's lifetime. */
     std::uint64_t windows() const { return _windows.value(); }
@@ -101,12 +91,8 @@ class ParallelEngine
      *   <prefix>            windows / merged / lps / lookaheadNs
      *   <prefix>.lp<N>      sim.eq counters + activeWindows + merged
      *   <prefix>.chan<N>    per-channel sent/delivered
-     * @p wallClock additionally exports each LP's barrierWaitNs —
-     * wall-clock, hence non-deterministic; leave it off for runs
-     * whose stats JSON must be byte-reproducible.
      */
-    void attachStats(StatsRegistry &reg, const std::string &prefix,
-                     bool wallClock = false);
+    void attachStats(StatsRegistry &reg, const std::string &prefix);
 
   private:
     struct MergeItem
@@ -120,26 +106,15 @@ class ParallelEngine
 
     Tick minNextEventTick();
     Tick windowRunTo(Tick floor, Tick la, Tick limit) const;
-    /** Run one LP's window; updates its active-window counter. */
-    void runLp(LogicalProcess &lp, Tick runTo);
     void mergeChannels();
-    std::uint64_t runSerial(Tick limit);
-    std::uint64_t runParallel(Tick limit, unsigned workers);
-    void finishRun(Tick limit);
 
     std::vector<std::unique_ptr<LogicalProcess>> _lps;
     std::vector<std::unique_ptr<LinkChannel>> _channels;
     /** Channels inbound to each LP id, in channel-index order. */
     std::vector<std::vector<LinkChannel *>> _inbound;
     std::vector<MergeItem> _mergeScratch;
-    unsigned _jobs;
     Counter _windows;
     Counter _mergedTotal;
-
-    // Window state published to workers across the start barrier and
-    // read back after it; the barrier provides the happens-before.
-    Tick _runTo = 0;
-    bool _stop = false;
 };
 
 } // namespace tf::sim::par

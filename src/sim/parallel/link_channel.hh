@@ -6,11 +6,10 @@
  * modelling a physical link with a guaranteed minimum latency (an
  * OpenCAPI hop, an Ethernet wire). The sender deposits a callback
  * stamped with its absolute delivery tick; the engine drains every
- * channel at the window barrier and schedules the callbacks into the
- * destination LP's queue in a deterministic order — sorted by
- * (deliverAt, source LP, channel, per-channel sequence) — so a
- * parallel run executes the destination's events in exactly the same
- * order as a serial one.
+ * channel at the window's end and schedules the callbacks into the
+ * destination LP's queue in a fixed order — sorted by (deliverAt,
+ * source LP, channel, per-channel sequence) — so the destination's
+ * event order never depends on the order the window ran its LPs.
  *
  * The minimum latency is the conservative contract: the engine's
  * lookahead is the minimum over all channels, every send must be
@@ -19,11 +18,6 @@
  * was sent. Zero-latency channels are rejected loudly at connect
  * time (TF_ASSERT) — they would force a zero-length window and
  * deadlock a conservative engine.
- *
- * Threading: during a window only the source LP's worker touches the
- * outbox; the engine's merge runs between barriers when all workers
- * are parked. No locks are needed; the barrier provides the
- * happens-before edge.
  */
 
 #ifndef TF_SIM_PARALLEL_LINK_CHANNEL_HH

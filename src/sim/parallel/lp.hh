@@ -1,16 +1,15 @@
 /**
  * @file
- * Logical process: one partition of a parallel simulation.
+ * Logical process: one partition of a partitioned simulation.
  *
  * A LogicalProcess (LP) owns a private EventQueue holding the events
  * of one simulated node (or node group). All state of the components
- * built against that queue belongs to the LP and may only be touched
- * by the one worker thread executing the LP's window — the engine
- * never runs the same LP on two threads concurrently, and all
- * cross-LP traffic crosses through a LinkChannel at a window barrier.
+ * built against that queue belongs to the LP and is touched only by
+ * the LP's own events; all cross-LP traffic crosses through a
+ * LinkChannel and is merged in at a window's end.
  *
- * See engine.hh for the synchronization protocol and DESIGN.md §11
- * for the determinism argument.
+ * See engine.hh for the window protocol and DESIGN.md §11 for the
+ * ordering argument.
  */
 
 #ifndef TF_SIM_PARALLEL_LP_HH
@@ -45,29 +44,19 @@ class LogicalProcess
     EventQueue &queue() { return _eq; }
     const EventQueue &queue() const { return _eq; }
 
-    /** Windows in which this LP executed at least one event. */
-    std::uint64_t activeWindows() const { return _activeWindows.value(); }
-
-    /** Cross-LP messages merged into this LP at window barriers. */
-    std::uint64_t merged() const { return _merged.value(); }
-
     /**
-     * Wall-clock nanoseconds the worker owning this LP spent waiting
-     * at window-end barriers (zero when the engine runs serially).
-     * A large value relative to its siblings means the partition is
-     * under-loaded. Non-deterministic by nature: excluded from the
-     * default stats export (see ParallelEngine::attachStats).
+     * Always 0: the engine runs every LP on one thread, so nothing
+     * waits at a window's end. Kept only for perfbench, whose code
+     * changes only together with the benchmark and still sums this
+     * into par.barrier_wait_s.
      */
-    std::uint64_t barrierWaitNs() const { return _barrierWaitNs.value(); }
+    std::uint64_t barrierWaitNs() const { return 0; }
 
     /**
      * Invoked by the engine after cross-LP messages are merged into
-     * this LP's queue at a window barrier. The merge runs
-     * single-threaded on the coordinator in both the serial and
-     * parallel paths, so the hook sees the queue in the same state
-     * regardless of --jobs. Observers that disarm themselves when
-     * the queue drains (the timeline sampler) use it to re-arm on
-     * newly delivered work.
+     * this LP's queue at a window's end. Observers that disarm
+     * themselves when the queue drains (the timeline sampler) use it
+     * to re-arm on newly delivered work.
      */
     void setWakeHook(std::function<void()> fn) { _wakeHook = std::move(fn); }
 
@@ -79,9 +68,10 @@ class LogicalProcess
     LpId _id;
     std::string _name;
     EventQueue _eq;
+    /** Windows in which this LP executed at least one event. */
     Counter _activeWindows;
+    /** Cross-LP messages merged into this LP at window ends. */
     Counter _merged;
-    Counter _barrierWaitNs;
 };
 
 } // namespace tf::sim::par

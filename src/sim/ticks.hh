@@ -27,6 +27,13 @@ constexpr Tick ticksPerUs = 1000 * ticksPerNs;
 constexpr Tick ticksPerMs = 1000 * ticksPerUs;
 constexpr Tick ticksPerSec = 1000 * ticksPerMs;
 
+/**
+ * The first duration, in ticks, that a Tick cannot hold: 2^64 ps,
+ * about 213 days. The conversions below are undefined from here on,
+ * so values read from outside the program are checked against it.
+ */
+constexpr double tickRange = 0x1p64;
+
 /** Convert a duration in nanoseconds to ticks. */
 constexpr Tick
 nanoseconds(double ns)

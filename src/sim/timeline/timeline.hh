@@ -18,10 +18,10 @@
  * priority, so boundary-tick work lands in the *new* window). When
  * the queue drains the sampler disarms itself -- it never keeps a
  * finished LP alive -- and re-arms from the engine's post-merge wake
- * hook when cross-LP traffic is delivered. Because arming depends
- * only on queue contents and the merge hook runs single-threaded on
- * the coordinator in both the serial and parallel paths, the sampled
- * series are byte-identical for any --jobs (DESIGN.md §17).
+ * hook when cross-LP traffic is delivered. Arming depends only on
+ * queue contents and the wake hook runs at a fixed point of the
+ * engine's window loop, so the sampled series are a pure function of
+ * the simulation (DESIGN.md §17).
  *
  * A Recorder also evaluates declarative SLO rules (the in-sim health
  * watchdog) as windows close, and collects fault-engine windows so
@@ -113,8 +113,8 @@ struct SloResult
 /**
  * Per-LP windowed sampler + watchdog. Construct, register probes and
  * rules, start() before the run, finish() after it, then merge into
- * a Timeline. All methods run on the LP's own thread (or the
- * coordinator, for ensureArmed) -- never concurrently.
+ * a Timeline. All methods run from the LP's own events (or the
+ * engine's merge, for ensureArmed) -- never concurrently.
  */
 class Recorder
 {

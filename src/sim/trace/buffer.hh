@@ -4,8 +4,8 @@
  *
  * Every EventQueue owns one TraceBuffer; components reach it through
  * eventQueue().trace(). All writes come from the thread running that
- * queue (one LP = one thread in the parallel engine), so recording is
- * lock-free: a plain append into preallocated storage.
+ * queue, so recording is lock-free: a plain append into preallocated
+ * storage.
  *
  * Two modes share the same storage:
  *
@@ -21,8 +21,9 @@
  *    append unbounded, for Perfetto export and latency attribution.
  *
  * Trace ids are allocated from a buffer-local counter, never a global
- * one: a process-wide atomic would leak worker-thread interleaving
- * into the exported ids and break the --jobs byte-identity guarantee.
+ * one: a process-wide atomic would leak the interleaving of tf_bench's
+ * point-sharding threads into the exported ids and break the --jobs
+ * byte-identity guarantee.
  */
 
 #ifndef TF_SIM_TRACE_BUFFER_HH

@@ -1,6 +1,6 @@
 /**
  * @file
- * Rack-scale cluster for the parallel engine.
+ * Rack-scale cluster on the windowed LP engine.
  *
  * One logical process per rack: a compute node and its memory donor,
  * coupled by a full ThymesisFlow datapath (the ~950 ns ld/st path of
@@ -15,8 +15,8 @@
  * the rack's thymesisflow, and a seeded per-rack coin decides whether
  * the job also performs one cross-rack RPC (request over the ring,
  * remote DRAM read, response back). Everything a rack does is driven
- * by its own queue and its own Rng, so results are independent of the
- * worker-thread count — parallel_scale asserts exactly that.
+ * by its own queue and its own Rng; racks meet only through the ring's
+ * engine channels.
  */
 
 #ifndef TF_SYS_RACK_HH

@@ -192,6 +192,11 @@ LlcTx::LlcTx(std::string name, sim::EventQueue &eq,
     : SimObject(std::move(name), eq), _params(params), _wire(wire),
       _credits(params.rxQueueFrames)
 {
+    // With at least one credit, a replay from the buffer's front
+    // always sends (it refunds the frames' credits first), and the
+    // send arms the ack timer that drives escalation.
+    TF_ASSERT(params.rxQueueFrames >= 1, "%s: no Rx queue credits",
+              this->name().c_str());
 }
 
 void
@@ -463,10 +468,6 @@ LlcTx::onAckTimeout()
     // Tail loss: nothing after the lost frame arrived to trigger gap
     // detection at the Rx. Assume everything unacked was dropped.
     replayFrom(_replayBuf.front()->seq);
-    // The replay may have sent nothing (credits dry on a dead link); the
-    // timer must keep ticking anyway or escalation would never fire.
-    if (!_replayBuf.empty() && _ackTimer == sim::EventQueue::invalidEvent)
-        armTimer();
 }
 
 void

@@ -63,8 +63,6 @@ struct Instance::Runner
 Instance::Instance(const Spec &spec, BuildOptions opt)
     : _spec(spec), _opt(opt)
 {
-    _engine = std::make_unique<sim::par::ParallelEngine>(
-        opt.jobs ? opt.jobs : 1);
     buildGroups();
     buildFabric();
     buildFaults();
@@ -118,7 +116,7 @@ Instance::buildGroups()
             continue; // built with its host below
         auto g = std::make_unique<Group>();
         g->spec = &n;
-        g->lp = &_engine->addLp(n.name);
+        g->lp = &_engine.addLp(n.name);
         sim::EventQueue &eq = g->lp->queue();
         // Distinct stream per group; the offset keeps groups from
         // replaying each other's draws.
@@ -167,13 +165,13 @@ Instance::buildGroups()
 void
 Instance::buildFabric()
 {
-    TF_ASSERT(_engine->lpCount() > 0, "topology with no LPs");
+    TF_ASSERT(_engine.lpCount() > 0, "topology with no LPs");
     std::map<std::string, sim::par::LogicalProcess *> switchLp;
     for (const SwitchSpec &s : _spec.switches)
-        switchLp[s.name] = &_engine->addLp(s.name);
+        switchLp[s.name] = &_engine.addLp(s.name);
 
     _fabric = std::make_unique<net::Fabric>(
-        "fabric", _engine->lp(0).queue());
+        "fabric", _engine.lp(0).queue());
     for (const NodeSpec &n : _spec.nodes)
         _fabric->addEndpoint(n.name);
     for (const SwitchSpec &s : _spec.switches) {
@@ -193,7 +191,7 @@ Instance::buildFabric()
         _fabric->connect(l.a, l.b, lp);
     }
     _fabric->finalize();
-    _fabric->partition(*_engine);
+    _fabric->partition(_engine);
 }
 
 void
@@ -202,11 +200,11 @@ Instance::buildFaults()
     using sim::fault::Event;
     using sim::fault::Kind;
 
-    for (std::size_t i = 0; i < _engine->lpCount(); ++i) {
+    for (std::size_t i = 0; i < _engine.lpCount(); ++i) {
         _faultRegs.push_back(
             std::make_unique<sim::fault::Registry>());
         _faultEngines.push_back(std::make_unique<sim::fault::Engine>(
-            _engine->lp(i).queue(), *_faultRegs.back()));
+            _engine.lp(i).queue(), *_faultRegs.back()));
     }
 
     for (auto &gp : _groups) {
@@ -225,14 +223,14 @@ Instance::buildFaults()
         });
 
     // Route each scheduled fault to the one LP owning its point.
-    std::vector<sim::fault::Plan> plans(_engine->lpCount());
+    std::vector<sim::fault::Plan> plans(_engine.lpCount());
     for (const FaultSpec &f : _spec.faults) {
         Kind kind = kindFromName(f.kind);
-        std::size_t owner = _engine->lpCount();
+        std::size_t owner = _engine.lpCount();
         for (std::size_t i = 0; i < _faultRegs.size(); ++i)
             if (_faultRegs[i]->has(f.point))
                 owner = i;
-        if (owner == _engine->lpCount()) {
+        if (owner == _engine.lpCount()) {
             std::string known;
             for (const auto &reg : _faultRegs)
                 for (const std::string &n : reg->names())
@@ -320,7 +318,7 @@ Instance::rpcOp(Runner &r)
     // continuation is delivered back on the source LP.
     std::uint64_t op = r.issued++;
     sim::Tick t0 = r.q->now();
-    auto respBytes = static_cast<std::uint32_t>(r.ts->responseBytes);
+    std::uint32_t respBytes = r.ts->responseBytes;
     mem::Addr addr = kRpcBase + (op * 256) % kRpcSpan;
     sys::Node *dst = r.dstNode;
     Runner *rp = &r;
@@ -355,7 +353,6 @@ Instance::memoryOp(Runner &r)
     sim::Tick t0 = r.q->now();
     bool remote = r.ts->policy == "remote" ||
                   (r.ts->policy == "interleave" && op % 2 == 0);
-    auto bytes = static_cast<std::uint32_t>(r.ts->accessBytes);
     mem::Addr addr;
     if (remote) {
         // Stay in the lower half of the donated window: the upper
@@ -369,7 +366,7 @@ Instance::memoryOp(Runner &r)
     // A deterministic read-mostly mix: every fourth op writes.
     mem::TxnType type = op % 4 == 3 ? mem::TxnType::WriteReq
                                     : mem::TxnType::ReadReq;
-    auto txn = mem::makeTxn(type, addr, bytes);
+    auto txn = mem::makeTxn(type, addr, r.ts->accessBytes);
     Runner *rp = &r;
     txn->onComplete = [this, rp, t0](mem::MemTxn &) {
         double us = sim::toUs(rp->q->now() - t0);
@@ -393,9 +390,9 @@ Instance::buildTimeline()
         _opt.timelineUs > 0.0 ? _opt.timelineUs : _spec.timelineUs;
     sim::Tick window = sim::microseconds(widthUs);
 
-    for (std::size_t i = 0; i < _engine->lpCount(); ++i) {
+    for (std::size_t i = 0; i < _engine.lpCount(); ++i) {
         _recorders.push_back(std::make_unique<sim::timeline::Recorder>(
-            _engine->lp(i).queue(), window));
+            _engine.lp(i).queue(), window));
     }
 
     // Traffic probes live on the stanza's source LP: per-window
@@ -455,7 +452,7 @@ Instance::buildTimeline()
         bool opOk = sim::timeline::parseOp(m.op, rule.op);
         TF_ASSERT(opOk, "unvalidated monitor op '%s'", m.op.c_str());
         rule.threshold = m.threshold;
-        rule.forWindows = static_cast<std::uint32_t>(m.forWindows);
+        rule.forWindows = m.forWindows;
         rule.from = sim::microseconds(m.fromUs);
         rule.until = m.untilUs < 0 ? sim::maxTick
                                    : sim::microseconds(m.untilUs);
@@ -484,7 +481,7 @@ Instance::buildTimeline()
     // fresh cross-LP work; then arm everyone for tick 0.
     for (std::size_t i = 0; i < _recorders.size(); ++i) {
         sim::timeline::Recorder *rec = _recorders[i].get();
-        _engine->lp(i).setWakeHook([rec]() { rec->ensureArmed(); });
+        _engine.lp(i).setWakeHook([rec]() { rec->ensureArmed(); });
         rec->start();
     }
 }
@@ -497,7 +494,7 @@ Instance::harvestTimeline()
     _harvested = true;
     for (auto &rec : _recorders)
         rec->finish();
-    // LP-index order keeps the merge deterministic for any --jobs.
+    // Adopt in LP-index order: a fixed order for the merged series.
     for (auto &rec : _recorders)
         _timeline.adopt(*rec);
 }
@@ -505,7 +502,7 @@ Instance::harvestTimeline()
 std::uint64_t
 Instance::run()
 {
-    std::uint64_t events = _engine->run();
+    std::uint64_t events = _engine.run();
     harvestTimeline();
     return events;
 }
@@ -568,8 +565,8 @@ Instance::registerStats(sim::StatsRegistry &reg)
     }
     for (std::size_t i = 0; i < _faultEngines.size(); ++i)
         _faultEngines[i]->attachStats(
-            reg.at("fault." + _engine->lp(i).name()));
-    _engine->attachStats(reg, "sim.par", false);
+            reg.at("fault." + _engine.lp(i).name()));
+    _engine.attachStats(reg, "sim.par");
 }
 
 } // namespace tf::topo

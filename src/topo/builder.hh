@@ -7,8 +7,7 @@
  * optional page cache) per host/donor pair, a net::Fabric over the
  * declared switches and links, per-LP fault registries with the
  * scheduled FaultSpecs armed, and closed-loop traffic runners —
- * partitioned onto a sim::par::ParallelEngine so `--jobs N` stays
- * bit-identical to serial.
+ * partitioned into logical processes on a sim::par::ParallelEngine.
  *
  * Partitioning: each host (together with its claimed donor) is one
  * LP, each unclaimed donor one LP, each switch one LP. Fabric links
@@ -41,6 +40,11 @@ namespace tf::topo {
 struct BuildOptions
 {
     std::uint64_t seed = 42;
+    /**
+     * No effect: a simulation runs on one thread. Kept only for
+     * perfbench, whose code changes only together with the benchmark
+     * and still sets it.
+     */
     unsigned jobs = 1;
     /** Scale traffic to each stanza's smokeOps. */
     bool smoke = false;
@@ -69,10 +73,10 @@ class Instance
     /** Start every traffic runner and drain the engine. */
     std::uint64_t run();
 
-    std::size_t lpCount() const { return _engine->lpCount(); }
+    std::size_t lpCount() const { return _engine.lpCount(); }
     sim::par::LogicalProcess &lp(std::size_t i)
     {
-        return _engine->lp(i);
+        return _engine.lp(i);
     }
 
     net::Fabric &fabric() { return *_fabric; }
@@ -131,7 +135,7 @@ class Instance
 
     const Spec _spec;
     BuildOptions _opt;
-    std::unique_ptr<sim::par::ParallelEngine> _engine;
+    sim::par::ParallelEngine _engine;
     std::vector<std::unique_ptr<Group>> _groups;
     /** Every node's group, by node name (hosts and their donors). */
     std::map<std::string, Group *> _groupOf;

@@ -5,10 +5,13 @@
 #include <cmath>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
 #include <sstream>
+
+#include "sim/ticks.hh"
 
 namespace tf::topo {
 
@@ -69,8 +72,14 @@ numOr(const Value &obj, const std::string &key, double dflt)
     return v == nullptr ? dflt : num(*v, "\"" + key + "\"");
 }
 
-std::uint64_t
-uintOr(const Value &obj, const std::string &key, std::uint64_t dflt)
+/**
+ * A non-negative integer no larger than @p max: by default the most
+ * the field's type holds, or less where the model narrows it.
+ */
+template <typename T>
+T
+uintOr(const Value &obj, const std::string &key, T dflt,
+       std::uint64_t max = std::numeric_limits<T>::max())
 {
     const Value *v = obj.find(key);
     if (v == nullptr)
@@ -78,7 +87,37 @@ uintOr(const Value &obj, const std::string &key, std::uint64_t dflt)
     double n = num(*v, "\"" + key + "\"");
     if (n < 0 || n != std::floor(n))
         fail(*v, "\"" + key + "\" must be a non-negative integer");
-    return static_cast<std::uint64_t>(n);
+    // Test 2^64 first: casting a larger double is undefined.
+    if (n >= 0x1p64 || static_cast<std::uint64_t>(n) > max)
+        fail(*v, "\"" + key + "\" must be at most " +
+                     std::to_string(max));
+    return static_cast<T>(n);
+}
+
+/**
+ * A duration counted in units of @p unit ticks. It must not be
+ * negative and must fit a Tick, whose conversions are undefined past
+ * 2^64 ps. Where the model needs a @p positive duration, a value that
+ * truncates to 0 ticks is rejected too; the caller rejects zero itself,
+ * with the model's reason.
+ */
+double
+durationOr(const Value &obj, const std::string &key, double dflt,
+           sim::Tick unit, bool positive = false)
+{
+    const Value *v = obj.find(key);
+    if (v == nullptr)
+        return dflt;
+    double d = num(*v, "\"" + key + "\"");
+    double ticks = d * static_cast<double>(unit);
+    if (d < 0)
+        fail(*v, "\"" + key + "\" must not be negative");
+    if (ticks >= sim::tickRange)
+        fail(*v, "\"" + key + "\" is beyond the simulated time range "
+                 "(2^64 ps, about 213 days)");
+    if (positive && d > 0 && ticks < 1)
+        fail(*v, "\"" + key + "\" is shorter than the 1 ps tick");
+    return d;
 }
 
 bool
@@ -139,9 +178,9 @@ parseDram(const Value &v)
         fail(v, "\"dram\" must be an object");
     checkKeys(v, {"accessNs", "gbps", "banks"});
     DramSpec d;
-    d.accessNs = numOr(v, "accessNs", d.accessNs);
+    d.accessNs = durationOr(v, "accessNs", d.accessNs, sim::ticksPerNs);
     d.gbps = numOr(v, "gbps", d.gbps);
-    d.banks = static_cast<std::uint32_t>(uintOr(v, "banks", d.banks));
+    d.banks = uintOr(v, "banks", d.banks);
     if (d.accessNs <= 0)
         fail(v, "dram accessNs must be positive");
     if (d.gbps <= 0)
@@ -160,14 +199,10 @@ parseCache(const Value &v)
                   "highWatermark"});
     PageCacheSpec c;
     c.enabled = boolOr(v, "enabled", true);
-    c.frameBudget = static_cast<std::uint32_t>(
-        uintOr(v, "frameBudget", c.frameBudget));
-    c.lineMlp =
-        static_cast<std::uint32_t>(uintOr(v, "lineMlp", c.lineMlp));
-    c.lowWatermark = static_cast<std::uint32_t>(
-        uintOr(v, "lowWatermark", c.lowWatermark));
-    c.highWatermark = static_cast<std::uint32_t>(
-        uintOr(v, "highWatermark", c.highWatermark));
+    c.frameBudget = uintOr(v, "frameBudget", c.frameBudget);
+    c.lineMlp = uintOr(v, "lineMlp", c.lineMlp);
+    c.lowWatermark = uintOr(v, "lowWatermark", c.lowWatermark);
+    c.highWatermark = uintOr(v, "highWatermark", c.highWatermark);
     if (c.frameBudget < 1)
         fail(v, "cache frameBudget must be >= 1");
     if (c.lineMlp < 1)
@@ -225,12 +260,14 @@ parseSpec(const std::string &text, const std::string &origin)
         if (!n.donor.empty() && n.role != "host")
             fail(nv, "node \"" + n.name +
                          "\": only hosts can claim a donor");
-        n.channels = static_cast<std::uint32_t>(
-            uintOr(nv, "channels", n.channels));
+        n.channels = uintOr(nv, "channels", n.channels);
         if (n.channels < 1 || n.channels > 8)
             fail(nv, "node \"" + n.name +
                          "\" channels must be in [1, 8]");
-        n.donatedMiB = uintOr(nv, "donatedMiB", n.donatedMiB);
+        // The donation is used in bytes: MiB << 20 must not wrap.
+        n.donatedMiB = uintOr(nv, "donatedMiB", n.donatedMiB,
+                              std::numeric_limits<std::uint64_t>::max() >>
+                                  20);
         if (n.role == "donor" && n.donatedMiB < 1)
             fail(nv, "donor \"" + n.name +
                          "\" donatedMiB must be >= 1");
@@ -279,12 +316,9 @@ parseSpec(const std::string &text, const std::string &origin)
         checkIdent(require(sv, "name"), s.name, "switch");
         if (!elementIds.emplace(s.name, elementIds.size()).second)
             fail(sv, "duplicate name \"" + s.name + "\"");
-        s.crossingNs = numOr(sv, "crossingNs", s.crossingNs);
-        if (s.crossingNs < 0)
-            fail(sv, "switch \"" + s.name +
-                         "\" crossingNs must not be negative");
-        s.radix =
-            static_cast<std::uint32_t>(uintOr(sv, "radix", s.radix));
+        s.crossingNs =
+            durationOr(sv, "crossingNs", s.crossingNs, sim::ticksPerNs);
+        s.radix = uintOr(sv, "radix", s.radix);
         if (s.radix < 2)
             fail(sv, "switch \"" + s.name + "\" radix must be >= 2");
         spec.switches.push_back(std::move(s));
@@ -314,7 +348,8 @@ parseSpec(const std::string &text, const std::string &origin)
         l.gbps = numOr(lv, "gbps", l.gbps);
         if (l.gbps <= 0)
             fail(lv, "link " + key + " gbps must be positive");
-        l.latencyNs = numOr(lv, "latencyNs", l.latencyNs);
+        l.latencyNs = durationOr(lv, "latencyNs", l.latencyNs,
+                                 sim::ticksPerNs, /*positive=*/true);
         if (l.latencyNs <= 0)
             fail(lv, "link " + key +
                          " latencyNs must be positive — zero-latency "
@@ -375,18 +410,14 @@ parseSpec(const std::string &text, const std::string &origin)
         t.requestBytes = uintOr(tv, "requestBytes", t.requestBytes);
         t.responseBytes = uintOr(tv, "responseBytes", t.responseBytes);
         t.accessBytes = uintOr(tv, "accessBytes", t.accessBytes);
-        t.window = static_cast<std::uint32_t>(
-            uintOr(tv, "window", t.window));
+        t.window = uintOr(tv, "window", t.window);
         t.ops = uintOr(tv, "ops", t.ops);
         t.smokeOps = uintOr(tv, "smokeOps", t.smokeOps);
-        t.startUs = numOr(tv, "startUs", t.startUs);
+        t.startUs = durationOr(tv, "startUs", t.startUs, sim::ticksPerUs);
         if (t.window < 1)
             fail(tv, "traffic \"" + t.name + "\" window must be >= 1");
         if (t.ops < 1)
             fail(tv, "traffic \"" + t.name + "\" ops must be >= 1");
-        if (t.startUs < 0)
-            fail(tv, "traffic \"" + t.name +
-                         "\" startUs must not be negative");
         if (t.kind == "rpc") {
             t.dst = str(require(tv, "dst"), "traffic \"dst\"");
             if (nodeNamed(t.dst) == nullptr)
@@ -443,20 +474,15 @@ parseSpec(const std::string &text, const std::string &origin)
                          "\" (known: " + known + ")");
         }
         f.point = str(require(fv, "point"), "fault \"point\"");
-        f.atUs = numOr(fv, "atUs", f.atUs);
-        f.forUs = numOr(fv, "forUs", f.forUs);
-        f.extraNs = numOr(fv, "extraNs", f.extraNs);
-        if (f.atUs < 0)
-            fail(fv, "fault atUs must not be negative");
-        if (f.forUs < 0)
-            fail(fv, "fault forUs must not be negative");
-        if (f.extraNs < 0)
-            fail(fv, "fault extraNs must not be negative");
+        f.atUs = durationOr(fv, "atUs", f.atUs, sim::ticksPerUs);
+        f.forUs = durationOr(fv, "forUs", f.forUs, sim::ticksPerUs);
+        f.extraNs = durationOr(fv, "extraNs", f.extraNs, sim::ticksPerNs);
         spec.faults.push_back(std::move(f));
     }
 
     // --- timeline + monitors -----------------------------------------
-    spec.timelineUs = numOr(root, "timelineUs", spec.timelineUs);
+    spec.timelineUs = durationOr(root, "timelineUs", spec.timelineUs,
+                                 sim::ticksPerUs, /*positive=*/true);
     if (spec.timelineUs <= 0)
         fail(root, "timelineUs must be positive");
     std::set<std::string> monitorNames;
@@ -485,11 +511,8 @@ parseSpec(const std::string &text, const std::string &origin)
         if (m.forWindows < 1)
             fail(mv, "monitor \"" + m.name +
                          "\" forWindows must be >= 1");
-        m.fromUs = numOr(mv, "fromUs", m.fromUs);
-        if (m.fromUs < 0)
-            fail(mv, "monitor \"" + m.name +
-                         "\" fromUs must not be negative");
-        m.untilUs = numOr(mv, "untilUs", m.untilUs);
+        m.fromUs = durationOr(mv, "fromUs", m.fromUs, sim::ticksPerUs);
+        m.untilUs = durationOr(mv, "untilUs", m.untilUs, sim::ticksPerUs);
         if (mv.find("untilUs") != nullptr && m.untilUs <= m.fromUs)
             fail(mv, "monitor \"" + m.name +
                          "\" untilUs must exceed fromUs");

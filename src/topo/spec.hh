@@ -109,8 +109,9 @@ struct TrafficSpec
     std::string src;
     std::string dst; ///< rpc only
     std::uint64_t requestBytes = 128;
-    std::uint64_t responseBytes = 4096;
-    std::uint64_t accessBytes = 128;
+    // 32 bits, like the sizes of the memory transactions they set.
+    std::uint32_t responseBytes = 4096;
+    std::uint32_t accessBytes = 128;
     /** memory only: "remote" (donated window), "local", or
      * "interleave" (alternate between the two). */
     std::string policy = "remote";
@@ -138,7 +139,7 @@ struct MonitorSpec
     std::string op = ">";
     double threshold = 0.0;
     /** Consecutive bad windows before violations count. */
-    std::uint64_t forWindows = 1;
+    std::uint32_t forWindows = 1;
     double fromUs = 0.0;
     /** < 0 = end of run. */
     double untilUs = -1.0;

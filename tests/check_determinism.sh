@@ -1,5 +1,6 @@
 #!/bin/sh
-# Same-seed determinism cross-check for the parallel bench harness.
+# Same-seed determinism cross-check for the point-sharding bench
+# harness.
 #
 # Runs the smoke-sized proto_datapath, fig05_stream, fig07_ycsb,
 # fig09_elastic, fault_soak and cache_vs_migration scenarios, plus
@@ -7,13 +8,13 @@
 # and ablation_autonuma, with --jobs 1, 2 and 4 and requires every
 # result document to be byte-identical (--no-wall strips the only
 # legitimately varying field). This is the end-to-end guarantee the
-# parallel engine and the point-sharding harness promise: worker
-# count must not be observable in any output — including the chaos
-# soak, whose seeded FaultPlans must replay identically on every
-# worker layout, the page cache, whose fill/flush/provider machinery
-# must not leak scheduling order into its stats, and the scale-out
-# points of fig07/fig09, the heaviest users of the testbed's Ethernet
-# links.
+# harness promises when it shards a scenario's points over --jobs
+# threads: worker count must not be observable in any output —
+# including the chaos soak, whose seeded FaultPlans must replay
+# identically on every worker layout, the page cache, whose
+# fill/flush/provider machinery must not leak scheduling order into
+# its stats, and the scale-out points of fig07/fig09, the heaviest
+# users of the testbed's Ethernet links.
 #
 # Usage: check_determinism.sh <path-to-tf_bench>
 

@@ -461,6 +461,29 @@ TEST_F(LlcFixture, DeadChannelEscalatesToLinkDown)
               0u);
 }
 
+TEST_F(LlcFixture, StarvedCreditsOnDeadLinkStillEscalate)
+{
+    // Credits dry and the wire dead at once: each timeout's replay
+    // still sends (it refunds its frames' credits first), so the
+    // timer keeps running and the link is declared down once.
+    params.maxReplayRounds = 3;
+    params.ackTimeout = sim::microseconds(2);
+    build();
+    int healthCalls = 0;
+    ch->txA().connectHealth([&]() { ++healthCalls; });
+
+    sendTxns(50);
+    eq.schedule(sim::nanoseconds(300), [&]() {
+        ch->txA().starveCredits(sim::milliseconds(1));
+        ch->fail();
+    });
+    eq.run(sim::microseconds(200));
+
+    EXPECT_TRUE(ch->txA().linkDown());
+    EXPECT_EQ(healthCalls, 1);
+    EXPECT_EQ(ch->txA().linkDownsDeclared(), 1u);
+}
+
 TEST_F(LlcFixture, EscalationDisabledReplaysForever)
 {
     params.maxReplayRounds = 0; // paper baseline: transient-loss only

@@ -302,6 +302,7 @@ TEST_F(PageCacheFixture, PoisonedFrameRefaultsThroughMissPath)
 
     EXPECT_TRUE(pc->poisonCleanPage());
     EXPECT_EQ(pc->poisonedFrames(), 1u);
+    EXPECT_EQ(pc->poisonSkipped(), 0u);
     EXPECT_EQ(pc->residentPages(), 0u);
     EXPECT_EQ(pc->freeFrames(), 4u); // replacement frame allocated
 
@@ -316,6 +317,8 @@ TEST_F(PageCacheFixture, PoisonedFrameRefaultsThroughMissPath)
     eq.run();
     ASSERT_EQ(w.done, 1);
     EXPECT_FALSE(pc->poisonCleanPage());
+    EXPECT_EQ(pc->poisonedFrames(), 1u);
+    EXPECT_EQ(pc->poisonSkipped(), 1u);
 }
 
 TEST_F(PageCacheFixture, ProviderKeepsFreeListBetweenWatermarks)
