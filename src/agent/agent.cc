@@ -30,7 +30,9 @@ Agent::stealMemory(const std::string &token, std::uint64_t bytes,
         return std::nullopt;
 
     std::uint64_t section = _mm.sectionBytes();
-    std::uint64_t need = mem::alignUp(bytes, section) / section;
+    // Round up without alignUp, which wraps to 0 within a section of
+    // 2^64 and would turn a huge request into a one-section donation.
+    std::uint64_t need = bytes / section + (bytes % section != 0);
     if (need == 0)
         need = 1;
 

@@ -45,6 +45,8 @@ struct DramParams
      * per-bank busy cursors and FR-FCFS reordering.
      */
     std::uint32_t banks = 16;
+    /** The most banks a topology spec may ask for; each has state. */
+    static constexpr std::uint32_t kMaxBanks = 1024;
     /** Consecutive-address stripe rotated across banks. */
     std::uint64_t bankStrideBytes = 256;
     /**

@@ -45,49 +45,113 @@ Summary::stddev() const
 void
 SampleStat::add(double x)
 {
-    _samples.push_back(x);
-    _sorted = false;
+    TF_ASSERT(!std::isnan(x), "SampleStat: NaN sample");
     _summary.add(x);
+    _pending.push_back(x);
+    // Merging costs O(runs + pending); waiting for at least `runs`
+    // samples keeps add() amortised O(log pending).
+    if (_pending.size() >= std::max(kFlushFloor, _runs.size()))
+        flush();
 }
 
 void
 SampleStat::reset()
 {
-    _samples.clear();
-    _sorted = true;
+    _runs.clear();
+    _pending.clear();
     _summary.reset();
 }
 
 void
-SampleStat::ensureSorted() const
+SampleStat::flush() const
 {
-    if (!_sorted) {
-        std::sort(_samples.begin(), _samples.end());
-        _sorted = true;
+    if (_pending.empty())
+        return;
+    std::sort(_pending.begin(), _pending.end());
+
+    // Size the merged list exactly: the runs plus the buffered values
+    // none of them holds yet.
+    std::size_t size = _runs.size();
+    for (std::size_t i = 0, j = 0; j < _pending.size(); ++j) {
+        double v = _pending[j];
+        if (j > 0 && v == _pending[j - 1])
+            continue;
+        while (i < _runs.size() && _runs[i].value < v)
+            ++i;
+        if (i == _runs.size() || _runs[i].value != v)
+            ++size;
     }
+
+    std::vector<Run> merged;
+    merged.reserve(size);
+    std::uint64_t total = 0;
+    auto emit = [&merged, &total](double v, std::uint64_t n) {
+        total += n;
+        if (!merged.empty() && merged.back().value == v)
+            merged.back().end = total;
+        else
+            merged.push_back(Run{v, total});
+    };
+    std::size_t i = 0;
+    std::uint64_t prevEnd = 0;
+    auto emitRun = [&] {
+        emit(_runs[i].value, _runs[i].end - prevEnd);
+        prevEnd = _runs[i++].end;
+    };
+    for (double v : _pending) {
+        while (i < _runs.size() && _runs[i].value <= v)
+            emitRun();
+        emit(v, 1);
+    }
+    while (i < _runs.size())
+        emitRun();
+    _runs = std::move(merged);
+    _pending.clear();
+}
+
+double
+SampleStat::atRank(std::uint64_t rank) const
+{
+    auto byEnd = [](std::uint64_t r, const Run &x) { return r < x.end; };
+    return std::upper_bound(_runs.begin(), _runs.end(), rank, byEnd)->value;
 }
 
 double
 SampleStat::quantile(double q) const
 {
     TF_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
-    if (_samples.empty())
+    flush();
+    if (_runs.empty())
         return 0.0;
-    ensureSorted();
     // Linear interpolation between closest ranks (type-7 quantile).
-    double pos = q * static_cast<double>(_samples.size() - 1);
-    std::size_t lo = static_cast<std::size_t>(pos);
-    std::size_t hi = std::min(lo + 1, _samples.size() - 1);
+    std::uint64_t n = _runs.back().end;
+    double pos = q * static_cast<double>(n - 1);
+    auto lo = static_cast<std::uint64_t>(pos);
+    std::uint64_t hi = std::min(lo + 1, n - 1);
     double frac = pos - static_cast<double>(lo);
-    return _samples[lo] * (1.0 - frac) + _samples[hi] * frac;
+    return atRank(lo) * (1.0 - frac) + atRank(hi) * frac;
+}
+
+std::vector<double>
+SampleStat::samples() const
+{
+    flush();
+    std::vector<double> out;
+    out.reserve(_runs.empty() ? 0 : _runs.back().end);
+    std::uint64_t prevEnd = 0;
+    for (const Run &r : _runs) {
+        out.insert(out.end(), r.end - prevEnd, r.value);
+        prevEnd = r.end;
+    }
+    return out;
 }
 
 void
 SampleStat::writeCdf(std::ostream &os, std::size_t points) const
 {
-    if (_samples.empty())
+    flush();
+    if (_runs.empty())
         return;
-    ensureSorted();
     for (std::size_t i = 0; i <= points; ++i) {
         double q = static_cast<double>(i) / static_cast<double>(points);
         os << quantile(q) << ' ' << q << '\n';

@@ -70,12 +70,22 @@ class Summary
 };
 
 /**
- * Full sample store for quantiles and CDF output. Used for latency
+ * Exact distribution for quantiles and CDF output. Used for latency
  * distributions (e.g. the Memcached GET latency CDF of Fig. 8).
+ *
+ * Memory grows with the number of distinct values, not of samples:
+ * samples land in a small unsorted buffer that is sorted and merged
+ * into strictly ascending (value, cumulative count) runs once it
+ * holds max(kFlushFloor, runs) samples, and before any read. The
+ * quantiles and CDF rows are those of the sorted sample vector, bit
+ * for bit. NaN samples are rejected (TF_ASSERT).
  */
 class SampleStat
 {
   public:
+    /** Fewest buffered samples that trigger a merge into the runs. */
+    static constexpr std::size_t kFlushFloor = 4096;
+
     void add(double x);
     void reset();
 
@@ -91,14 +101,22 @@ class SampleStat
     /** Emit "value cumulative_fraction" rows at @p points resolution. */
     void writeCdf(std::ostream &os, std::size_t points = 100) const;
 
-    const std::vector<double> &samples() const { return _samples; }
+    /** Every sample, in ascending order, expanded on request. */
+    std::vector<double> samples() const;
 
   private:
-    mutable std::vector<double> _samples;
-    mutable bool _sorted = true;
+    struct Run
+    {
+        double value;
+        std::uint64_t end; ///< samples <= value: one past its last rank
+    };
+
+    mutable std::vector<Run> _runs;       ///< strictly ascending values
+    mutable std::vector<double> _pending; ///< unsorted, not yet merged
     Summary _summary;
 
-    void ensureSorted() const;
+    void flush() const;
+    double atRank(std::uint64_t rank) const;
 };
 
 /**

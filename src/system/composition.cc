@@ -1,6 +1,28 @@
 #include "system/composition.hh"
 
+#include <algorithm>
+
 namespace tf::sys {
+
+namespace {
+
+/**
+ * The donation is clamped before sizing: the control plane rejects
+ * one larger than the donor's boot memory anyway, and unclamped it
+ * could wrap the window to 0 or size an RMMU table the donor could
+ * never back.
+ */
+ocapi::M1Window
+windowFor(const Node &host, const Node &donor, std::uint64_t donatedBytes)
+{
+    const NodeParams &d = donor.params();
+    std::uint64_t boot = d.bootSections * d.sectionBytes;
+    std::uint64_t section = host.params().sectionBytes;
+    std::uint64_t bytes = mem::alignUp(std::min(donatedBytes, boot), section);
+    return ocapi::M1Window{ocapi::kM1WindowBase, bytes * 2};
+}
+
+} // namespace
 
 Composition::Composition(const std::string &prefix, Node &host,
                          Node &donor, const flow::FlowParams &flow,
@@ -9,10 +31,7 @@ Composition::Composition(const std::string &prefix, Node &host,
                          std::optional<os::PageCacheParams> cacheParams)
     : prefix(prefix),
       datapath(prefix + "tflow", host.eventQueue(), flow,
-               ocapi::M1Window{ocapi::kM1WindowBase,
-                               mem::alignUp(donatedBytes,
-                                            host.params().sectionBytes) *
-                                   2},
+               windowFor(host, donor, donatedBytes),
                donor.pasids(), donor.dram(), rng,
                host.params().sectionBytes),
       controlPlane(host.eventQueue(), host.params().agentToken)

@@ -28,7 +28,8 @@ struct Composition
     /**
      * Compose @p donatedBytes of @p donor into @p host over @p channels
      * of the datapath "<prefix>tflow". Its M1 window is twice the
-     * section-aligned donation (the RMMU's regrow headroom). A rejected
+     * section-aligned donation (the RMMU's regrow headroom), the
+     * donation clamped to the donor's boot memory. A rejected
      * allocation leaves allocationId 0 and builds no page cache.
      */
     Composition(const std::string &prefix, Node &host, Node &donor,

@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 
+#include "mem/dram.hh"
 #include "sim/ticks.hh"
 
 namespace tf::topo {
@@ -180,7 +181,7 @@ parseDram(const Value &v)
     DramSpec d;
     d.accessNs = durationOr(v, "accessNs", d.accessNs, sim::ticksPerNs);
     d.gbps = numOr(v, "gbps", d.gbps);
-    d.banks = uintOr(v, "banks", d.banks);
+    d.banks = uintOr(v, "banks", d.banks, mem::DramParams::kMaxBanks);
     if (d.accessNs <= 0)
         fail(v, "dram accessNs must be positive");
     if (d.gbps <= 0)

@@ -102,11 +102,15 @@ TEST_F(AgentFixture, StealReturnsWholeSections)
 
 TEST_F(AgentFixture, StealFailsWhenNoFreeSections)
 {
-    auto big = agentB->stealMemory(kToken, 9 * kSection, localB);
-    EXPECT_FALSE(big.has_value());
-    // Roll-back: everything still free.
-    EXPECT_EQ(mmB->freePages(localB), 8 * (kSection / kPage));
-    EXPECT_EQ(pasidsB.regionCount(), 0u);
+    // The second size rounds up past 2^64, which must not wrap to a
+    // one-section request.
+    for (std::uint64_t bytes : {9 * kSection, ~std::uint64_t{0} - 1}) {
+        auto big = agentB->stealMemory(kToken, bytes, localB);
+        EXPECT_FALSE(big.has_value()) << bytes;
+        // Roll-back: everything still free.
+        EXPECT_EQ(mmB->freePages(localB), 8 * (kSection / kPage));
+        EXPECT_EQ(pasidsB.regionCount(), 0u);
+    }
 }
 
 TEST_F(AgentFixture, BadTokenRejected)

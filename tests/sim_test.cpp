@@ -5,12 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -298,6 +304,267 @@ TEST(SampleStat, WriteCdfEmptyProducesNothing)
     std::ostringstream os;
     s.writeCdf(os);
     EXPECT_TRUE(os.str().empty());
+}
+
+// ------------------------------ SampleStat against a sorted vector
+
+namespace {
+
+/**
+ * The reference: every sample kept in a vector, sorted on read, with
+ * the type-7 quantile read straight from it.
+ */
+class SortedSamples
+{
+  public:
+    void add(double x)
+    {
+        _v.push_back(x);
+        _sorted = false;
+        _summary.add(x);
+    }
+
+    const std::vector<double> &sorted()
+    {
+        if (!_sorted) {
+            std::sort(_v.begin(), _v.end());
+            _sorted = true;
+        }
+        return _v;
+    }
+
+    double quantile(double q)
+    {
+        const std::vector<double> &v = sorted();
+        if (v.empty())
+            return 0.0;
+        double pos = q * static_cast<double>(v.size() - 1);
+        auto lo = static_cast<std::size_t>(pos);
+        std::size_t hi = std::min(lo + 1, v.size() - 1);
+        double frac = pos - static_cast<double>(lo);
+        return v[lo] * (1.0 - frac) + v[hi] * frac;
+    }
+
+    std::string cdf(std::size_t points)
+    {
+        std::ostringstream os;
+        for (std::size_t i = 0; !sorted().empty() && i <= points; ++i) {
+            double q = static_cast<double>(i) / static_cast<double>(points);
+            os << quantile(q) << ' ' << q << '\n';
+        }
+        return os.str();
+    }
+
+    const Summary &summary() const { return _summary; }
+
+  private:
+    std::vector<double> _v;
+    bool _sorted = true;
+    Summary _summary;
+};
+
+std::string
+cdfOf(const SampleStat &s, std::size_t points)
+{
+    std::ostringstream os;
+    s.writeCdf(os, points);
+    return os.str();
+}
+
+/** Every read of @p s equals the reference's, bit for bit. */
+void
+expectSame(const SampleStat &s, SortedSamples &ref)
+{
+    for (int i = 0; i <= 1000; ++i) {
+        double q = i / 1000.0;
+        ASSERT_EQ(s.quantile(q), ref.quantile(q)) << "q = " << q;
+    }
+    EXPECT_EQ(cdfOf(s, 100), ref.cdf(100));
+    EXPECT_EQ(cdfOf(s, 200), ref.cdf(200));
+    EXPECT_EQ(s.count(), ref.summary().count());
+    EXPECT_EQ(s.mean(), ref.summary().mean());
+    EXPECT_EQ(s.min(), ref.summary().min());
+    EXPECT_EQ(s.max(), ref.summary().max());
+    EXPECT_EQ(s.stddev(), ref.summary().stddev());
+    EXPECT_EQ(s.samples(), ref.sorted());
+}
+
+void
+addBoth(SampleStat &s, SortedSamples &ref, double x)
+{
+    s.add(x);
+    ref.add(x);
+}
+
+} // namespace
+
+TEST(SampleStatDiff, HeavyDuplicates)
+{
+    Rng rng(11);
+    std::vector<double> values(100);
+    for (double &v : values)
+        v = rng.uniform(100.0, 20000.0);
+    SampleStat s;
+    SortedSamples ref;
+    for (int i = 0; i < 200000; ++i)
+        addBoth(s, ref, values[rng.below(values.size())]);
+    expectSame(s, ref);
+}
+
+TEST(SampleStatDiff, AllDistinct)
+{
+    // 50k distinct values in a seeded shuffle: the runs, and with
+    // them the flush threshold, grow past kFlushFloor.
+    std::vector<double> values(50000);
+    for (std::size_t i = 0; i < values.size(); ++i)
+        values[i] = 0.75 * static_cast<double>(i) + 0.1;
+    Rng rng(12);
+    for (std::size_t i = values.size() - 1; i > 0; --i)
+        std::swap(values[i], values[rng.below(i + 1)]);
+    SampleStat s;
+    SortedSamples ref;
+    for (double v : values)
+        addBoth(s, ref, v);
+    expectSame(s, ref);
+}
+
+TEST(SampleStatDiff, SingleSample)
+{
+    SampleStat s;
+    SortedSamples ref;
+    addBoth(s, ref, 42.5);
+    expectSame(s, ref);
+}
+
+TEST(SampleStatDiff, NegativeAndZeroValues)
+{
+    Rng rng(13);
+    SampleStat s;
+    SortedSamples ref;
+    for (int i = 0; i < 30000; ++i) {
+        double x = 0.0; // a quarter of the samples are zero
+        std::uint64_t kind = rng.below(4);
+        if (kind == 0)
+            x = rng.uniform(-1e3, 0.0);
+        else if (kind == 1)
+            x = -static_cast<double>(rng.below(8));
+        else if (kind == 2)
+            x = rng.uniform(0.0, 1e-3);
+        addBoth(s, ref, x);
+    }
+    expectSame(s, ref);
+}
+
+TEST(SampleStatDiff, InterleavedReadsCrossFlushBoundaries)
+{
+    // Reads merge a part-filled buffer; the chunk sizes land adds on
+    // both sides of the buffer's own flush point.
+    const std::size_t f = SampleStat::kFlushFloor;
+    Rng rng(14);
+    SampleStat s;
+    SortedSamples ref;
+    double fresh = 0.5;
+    const std::size_t chunks[] = {1, 2, f - 3, 1, f, f + 1, 17, 3 * f, 5};
+    for (std::size_t chunk : chunks) {
+        for (std::size_t i = 0; i < chunk; ++i) {
+            // Half repeat earlier values, half open new runs.
+            double x = fresh += 1.0;
+            if (rng.chance(0.5))
+                x = static_cast<double>(rng.below(500));
+            addBoth(s, ref, x);
+        }
+        for (double q : {0.0, 0.25, 0.5, 0.99, 1.0})
+            ASSERT_EQ(s.quantile(q), ref.quantile(q))
+                << "chunk " << chunk << ", q = " << q;
+        ASSERT_EQ(s.samples(), ref.sorted()) << "chunk " << chunk;
+    }
+    expectSame(s, ref);
+}
+
+TEST(SampleStatDiff, ResetStartsOver)
+{
+    Rng rng(15);
+    SampleStat s;
+    for (int i = 0; i < 10000; ++i)
+        s.add(static_cast<double>(rng.below(300)));
+    EXPECT_GT(s.quantile(0.5), 0.0);
+    for (int i = 0; i < 100; ++i) // leave some samples unmerged
+        s.add(1e6);
+    s.reset();
+    SortedSamples empty;
+    expectSame(s, empty);
+
+    SortedSamples ref;
+    for (int i = 0; i < 9000; ++i)
+        addBoth(s, ref, rng.uniform(-5.0, 5.0));
+    expectSame(s, ref);
+}
+
+TEST(SampleStatDiff, FrozenCopyMatches)
+{
+    Rng rng(16);
+    SampleStat s;
+    SortedSamples ref;
+    StatSet set("unit");
+    set.attach("lat", s, "ns");
+    // 10,000 adds leave samples in the buffer, so the copy holds both.
+    for (int i = 0; i < 10000; ++i)
+        addBoth(s, ref, static_cast<double>(rng.below(700)) * 0.5);
+    set.freeze();
+    for (int i = 0; i < 5000; ++i) // the live stat moves on
+        s.add(1e9);
+
+    std::map<std::string, double> rows;
+    for (const StatEntry &e : set.snapshot())
+        rows[e.name] = e.value;
+    EXPECT_EQ(rows.at("lat.count"),
+              static_cast<double>(ref.summary().count()));
+    EXPECT_EQ(rows.at("lat.mean"), ref.summary().mean());
+    EXPECT_EQ(rows.at("lat.p50"), ref.quantile(0.50));
+    EXPECT_EQ(rows.at("lat.p95"), ref.quantile(0.95));
+    EXPECT_EQ(rows.at("lat.p99"), ref.quantile(0.99));
+}
+
+namespace {
+
+/** Bytes the allocator has handed out: arena chunks plus mmapped ones. */
+std::size_t
+heapInUse()
+{
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+    struct mallinfo2 mi = mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+#else
+    return 0;
+#endif
+}
+
+/** Keeps the calibration block observable, so it is really made. */
+void *volatile gHeapProbe = nullptr;
+
+} // namespace
+
+TEST(SampleStatFootprint, GrowsWithDistinctValuesNotSamples)
+{
+    constexpr std::size_t kMiB = 1 << 20;
+    std::size_t base = heapInUse();
+    gHeapProbe = std::malloc(kMiB);
+    std::size_t seen = heapInUse() - base;
+    std::free(gHeapProbe);
+    // A sanitizer's allocator bypasses the one mallinfo2 reports on.
+    if (seen < kMiB || seen > kMiB + 64 * 1024)
+        GTEST_SKIP() << "no heap accounting: saw " << seen << " B";
+
+    // A million samples were 8 MiB as raw doubles; a thousand
+    // distinct values need a few KiB of runs and the add buffer.
+    SampleStat s;
+    Rng rng(17);
+    std::size_t before = heapInUse();
+    for (int i = 0; i < 1000000; ++i)
+        s.add(static_cast<double>(rng.below(1000)));
+    EXPECT_LT(heapInUse(), before + 256 * 1024);
+    EXPECT_EQ(s.quantile(1.0), 999.0);
+    EXPECT_LT(heapInUse(), before + 256 * 1024);
 }
 
 TEST(EventQueue, DescheduleFromWithinCallback)

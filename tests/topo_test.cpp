@@ -260,6 +260,10 @@ TEST(TopoSpecT, IntegerBeyondItsFieldRejected)
                      "role": "donor", "donatedMiB": @}]})",
                   "17592186044480",
                   "\"donatedMiB\" must be at most 17592186044415");
+    // Each bank has its own state: 2^32 - 1 of them would not fit.
+    expectErrorAt(R"({"name": "x", "nodes": [{"name": "h0",
+                     "dram": {"banks": @}}]})",
+                  "1025", "\"banks\" must be at most 1024");
     // From 2^64 on, the cast to a 64-bit integer would be undefined.
     const std::string max64 = "must be at most 18446744073709551615";
     expectErrorAt(trafficWith("ops"), "1e30", max64);
@@ -726,6 +730,28 @@ TEST(TopoBuildT, RejectedDonationIsASpecError)
                       R"(composing host "h0" with donor "d0" failed)"),
                   std::string::npos)
             << e.what();
+    }
+}
+
+TEST(TopoBuildT, OversizedDonationIsRejectedBeforeSizingTheWindow)
+{
+    // The largest donation the spec accepts once wrapped the M1 window
+    // to 0 (an abort); 2^30 MiB would size a 2^27-entry section table.
+    for (const char *mib : {"17592186044415", "1073741824"}) {
+        SCOPED_TRACE(mib);
+        std::string text(kValid);
+        const std::string from = R"("donatedMiB": 32)";
+        text.replace(text.find(from), from.size(),
+                     std::string(R"("donatedMiB": )") + mib);
+        Spec spec = topo::parseSpec(text, "mini.json");
+        try {
+            topo::Instance inst(spec, topo::BuildOptions{});
+            ADD_FAILURE() << "expected SpecError for a rejected donation";
+        } catch (const SpecError &e) {
+            EXPECT_NE(std::string(e.what()).find("allocation rejected"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
