@@ -495,7 +495,8 @@ parseUnsigned(const char *flag, const char *text, std::uint64_t max,
 
 /**
  * As parseUnsigned() for a duration in microseconds (a decimal number,
- * no sign, no unit suffix) of at least one tick that a Tick can hold.
+ * no sign, no unit suffix) of at least one tick and at most
+ * sim::maxSpan, the bound a topology file's spans take too.
  */
 bool
 parseDurationUs(const char *flag, const char *text, double &out)
@@ -506,15 +507,16 @@ parseDurationUs(const char *flag, const char *text, double &out)
     bool digitFirst = std::isdigit(static_cast<unsigned char>(text[0])) ||
                       text[0] == '.';
     const double perUs = static_cast<double>(sim::ticksPerUs);
+    const double maxUs = static_cast<double>(sim::maxSpan) / perUs;
     if (digitFirst && *end == '\0' && errno != ERANGE && v * perUs >= 1 &&
-        v * perUs < sim::tickRange) {
+        v <= maxUs) {
         out = v;
         return true;
     }
     std::fprintf(stderr,
                  "tf_bench: %s '%s': expected microseconds in "
-                 "[%g, %g)\n",
-                 flag, text, 1 / perUs, sim::tickRange / perUs);
+                 "[%g, %g]\n",
+                 flag, text, 1 / perUs, maxUs);
     return false;
 }
 

@@ -195,9 +195,12 @@ QuantileSketch::add(double x, std::uint64_t weight)
         return;
     }
     std::size_t idx = indexOf(x);
-    if (idx >= _buckets.size())
-        _buckets.resize(idx + 1, 0);
-    _buckets[idx] += weight;
+    std::size_t slot = idx - _lo; // wraps, so also >= size below _lo
+    if (slot >= _buckets.size()) {
+        cover(idx, idx + 1);
+        slot = idx - _lo;
+    }
+    _buckets[slot] += weight;
 }
 
 void
@@ -207,14 +210,39 @@ QuantileSketch::reset()
 }
 
 void
+QuantileSketch::cover(std::size_t lo, std::size_t hi)
+{
+    if (_buckets.empty()) {
+        _lo = lo;
+        _buckets.resize(hi - lo, 0);
+        return;
+    }
+    if (lo < _lo) {
+        _buckets.insert(_buckets.begin(), _lo - lo, 0);
+        _lo = lo;
+    }
+    if (hi > _lo + _buckets.size())
+        _buckets.resize(hi - _lo, 0);
+}
+
+std::uint64_t
+QuantileSketch::bucketAt(std::size_t index) const
+{
+    std::size_t slot = index - _lo; // wraps below _lo
+    return slot < _buckets.size() ? _buckets[slot] : 0;
+}
+
+void
 QuantileSketch::merge(const QuantileSketch &other)
 {
     if (other._count == 0)
         return;
-    if (other._buckets.size() > _buckets.size())
-        _buckets.resize(other._buckets.size(), 0);
-    for (std::size_t i = 0; i < other._buckets.size(); ++i)
-        _buckets[i] += other._buckets[i];
+    if (!other._buckets.empty()) {
+        cover(other._lo, other._lo + other._buckets.size());
+        std::uint64_t *dst = &_buckets[other._lo - _lo];
+        for (std::size_t i = 0; i < other._buckets.size(); ++i)
+            dst[i] += other._buckets[i];
+    }
     _zeroCount += other._zeroCount;
     _count += other._count;
     _sum += other._sum;
@@ -236,7 +264,7 @@ QuantileSketch::quantile(double q) const
     for (std::size_t i = 0; i < _buckets.size(); ++i) {
         seen += _buckets[i];
         if (seen > rank)
-            return std::clamp(bucketValue(i), _min, _max);
+            return std::clamp(bucketValue(_lo + i), _min, _max);
     }
     return _max;
 }
@@ -251,12 +279,25 @@ QuantileSketch::delta(const QuantileSketch &prev) const
     out._count = _count - prev._count;
     out._zeroCount = _zeroCount - prev._zeroCount;
     out._sum = _sum - prev._sum;
-    out._buckets.assign(_buckets.begin(), _buckets.end());
-    for (std::size_t i = 0; i < prev._buckets.size(); ++i) {
-        TF_ASSERT(out._buckets[i] >= prev._buckets[i],
+    // Every bucket of prev must be one of ours and no fuller, also
+    // where it lies outside our range (there ours is empty).
+    for (std::size_t j = 0; j < prev._buckets.size(); ++j)
+        TF_ASSERT(bucketAt(prev._lo + j) >= prev._buckets[j],
                   "sketch delta: bucket went backwards");
-        out._buckets[i] -= prev._buckets[i];
-    }
+    // Keep only the difference's occupied range.
+    auto diff = [&](std::size_t slot) {
+        return _buckets[slot] - prev.bucketAt(_lo + slot);
+    };
+    std::size_t first = 0;
+    std::size_t last = _buckets.size();
+    while (first < last && diff(first) == 0)
+        ++first;
+    while (last > first && diff(last - 1) == 0)
+        --last;
+    out._lo = _lo + first;
+    out._buckets.resize(last - first);
+    for (std::size_t i = first; i < last; ++i)
+        out._buckets[i - first] = diff(i);
     // Exact per-window extrema are gone once samples fold into
     // buckets; use the occupied bucket edges so quantile()'s clamp
     // stays sound (lower edge of the lowest bucket, upper edge of
@@ -265,11 +306,10 @@ QuantileSketch::delta(const QuantileSketch &prev) const
                               : std::numeric_limits<double>::infinity();
     out._max = out._zeroCount ? 0.0
                               : -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < out._buckets.size(); ++i) {
-        if (!out._buckets[i])
-            continue;
-        out._min = std::min(out._min, bucketValue(i));
-        out._max = std::max(out._max, bucketValue(i + 1));
+    if (!out._buckets.empty()) {
+        std::size_t end = out._lo + out._buckets.size();
+        out._min = std::min(out._min, bucketValue(out._lo));
+        out._max = std::max(out._max, bucketValue(end));
     }
     out._min = std::max(out._min, _min);
     out._max = std::min(out._max, _max);

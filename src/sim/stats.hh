@@ -120,13 +120,18 @@ class SampleStat
 };
 
 /**
- * HDR-style log-linear quantile sketch: O(1) memory per sample
- * stream, bounded relative error, deterministic. Values map into
- * geometric octaves split into kSubBuckets linear sub-buckets
- * (relative error <= 1/kSubBuckets ~= 3%), so hot-path components
+ * HDR-style log-linear quantile sketch: bounded relative error,
+ * deterministic. Values map into geometric octaves split into
+ * kSubBuckets linear sub-buckets (relative error <= 1/kSubBuckets
+ * ~= 3%) of one fixed global layout, so hot-path components
  * (crossing stages, C1 master) can export latency quantiles without
  * storing millions of samples. Negative and zero values land in a
  * dedicated zero bucket.
+ *
+ * A sketch holds 8 bytes per bucket from its lowest to its highest
+ * occupied bucket (kSubBuckets per octave), never more than the
+ * layout's 4,128 buckets; an empty or zero-only sketch allocates
+ * nothing.
  */
 class QuantileSketch
 {
@@ -141,10 +146,11 @@ class QuantileSketch
 
     /**
      * Fold @p other into this sketch. Buckets share a fixed global
-     * layout, so merging is bucket-wise addition: commutative and
-     * associative up to the floating-point _sum, and a merge of N
-     * shards is bucket-exact against the unsharded sketch (the
-     * --jobs trace-attribution merge relies on this).
+     * layout, so merging is bucket-wise addition over the union of
+     * the two occupied ranges: commutative and associative up to the
+     * floating-point _sum, and a merge of N shards is bucket-exact
+     * against the unsharded sketch (the --jobs trace-attribution
+     * merge relies on this).
      */
     void merge(const QuantileSketch &other);
 
@@ -169,19 +175,28 @@ class QuantileSketch
      * since @p prev was copied, so successive snapshots of a live
      * sketch yield per-window distributions without per-sample
      * storage. @p prev must be a prefix of this sketch (same stream,
-     * taken earlier); counts going backwards are a logic error. The
-     * delta's min/max are bucket edges, not exact sample values --
-     * the per-window quantile clamp is correspondingly coarser.
+     * taken earlier); counts going backwards, also in a bucket of
+     * @p prev outside this sketch's range, are a logic error. The
+     * delta stores only the range its own samples occupy; its
+     * min/max are bucket edges, not exact sample values -- the
+     * per-window quantile clamp is correspondingly coarser.
      */
     QuantileSketch delta(const QuantileSketch &prev) const;
 
   private:
-    std::vector<std::uint64_t> _buckets; ///< lazily sized
+    /** Global buckets [_lo, _lo + size): the occupied range. */
+    std::vector<std::uint64_t> _buckets;
+    std::size_t _lo = 0;
     std::uint64_t _zeroCount = 0;
     std::uint64_t _count = 0;
     double _sum = 0.0;
     double _min = std::numeric_limits<double>::infinity();
     double _max = -std::numeric_limits<double>::infinity();
+
+    /** Widen the stored range to cover global buckets [lo, hi). */
+    void cover(std::size_t lo, std::size_t hi);
+    /** Count of global bucket @p index; 0 outside the range. */
+    std::uint64_t bucketAt(std::size_t index) const;
 
     static std::size_t indexOf(double x);
     static double bucketValue(std::size_t index);

@@ -28,11 +28,18 @@ constexpr Tick ticksPerMs = 1000 * ticksPerUs;
 constexpr Tick ticksPerSec = 1000 * ticksPerMs;
 
 /**
- * The first duration, in ticks, that a Tick cannot hold: 2^64 ps,
- * about 213 days. The conversions below are undefined from here on,
- * so values read from outside the program are checked against it.
+ * The most a duration read from outside the program may hold. A Tick
+ * holds 2^64 ps, about 213 days, and the conversions below are
+ * undefined past it. A run also adds such values to the clock and to
+ * each other (now + a link's latency, a fault's start + length, the
+ * timeline's window boundaries), so one that merely fits a Tick can
+ * still wrap mid-run. Bounds far below 2^64 ps leave room for those
+ * sums: a delay (one hop, one access, one latency spike) is at most a
+ * simulated second, an instant or span of the run at most a simulated
+ * hour.
  */
-constexpr double tickRange = 0x1p64;
+constexpr Tick maxDelay = ticksPerSec;
+constexpr Tick maxSpan = 3600 * ticksPerSec;
 
 /** Convert a duration in nanoseconds to ticks. */
 constexpr Tick

@@ -97,14 +97,15 @@ uintOr(const Value &obj, const std::string &key, T dflt,
 
 /**
  * A duration counted in units of @p unit ticks. It must not be
- * negative and must fit a Tick, whose conversions are undefined past
- * 2^64 ps. Where the model needs a @p positive duration, a value that
- * truncates to 0 ticks is rejected too; the caller rejects zero itself,
- * with the model's reason.
+ * negative or hold more than @p max ticks (sim::maxDelay for a delay,
+ * sim::maxSpan for an instant or span), so the sums a run forms from
+ * it stay inside the Tick range. Where the model needs a @p positive
+ * duration, a value that truncates to 0 ticks is rejected too; the
+ * caller rejects zero itself, with the model's reason.
  */
 double
 durationOr(const Value &obj, const std::string &key, double dflt,
-           sim::Tick unit, bool positive = false)
+           sim::Tick unit, sim::Tick max, bool positive = false)
 {
     const Value *v = obj.find(key);
     if (v == nullptr)
@@ -113,9 +114,9 @@ durationOr(const Value &obj, const std::string &key, double dflt,
     double ticks = d * static_cast<double>(unit);
     if (d < 0)
         fail(*v, "\"" + key + "\" must not be negative");
-    if (ticks >= sim::tickRange)
-        fail(*v, "\"" + key + "\" is beyond the simulated time range "
-                 "(2^64 ps, about 213 days)");
+    if (ticks > static_cast<double>(max))
+        fail(*v, "\"" + key + "\" is beyond the simulated time range: " +
+                     "at most " + std::to_string(max / unit));
     if (positive && d > 0 && ticks < 1)
         fail(*v, "\"" + key + "\" is shorter than the 1 ps tick");
     return d;
@@ -179,7 +180,8 @@ parseDram(const Value &v)
         fail(v, "\"dram\" must be an object");
     checkKeys(v, {"accessNs", "gbps", "banks"});
     DramSpec d;
-    d.accessNs = durationOr(v, "accessNs", d.accessNs, sim::ticksPerNs);
+    d.accessNs =
+        durationOr(v, "accessNs", d.accessNs, sim::ticksPerNs, sim::maxDelay);
     d.gbps = numOr(v, "gbps", d.gbps);
     d.banks = uintOr(v, "banks", d.banks, mem::DramParams::kMaxBanks);
     if (d.accessNs <= 0)
@@ -317,8 +319,8 @@ parseSpec(const std::string &text, const std::string &origin)
         checkIdent(require(sv, "name"), s.name, "switch");
         if (!elementIds.emplace(s.name, elementIds.size()).second)
             fail(sv, "duplicate name \"" + s.name + "\"");
-        s.crossingNs =
-            durationOr(sv, "crossingNs", s.crossingNs, sim::ticksPerNs);
+        s.crossingNs = durationOr(sv, "crossingNs", s.crossingNs,
+                                  sim::ticksPerNs, sim::maxDelay);
         s.radix = uintOr(sv, "radix", s.radix);
         if (s.radix < 2)
             fail(sv, "switch \"" + s.name + "\" radix must be >= 2");
@@ -350,7 +352,8 @@ parseSpec(const std::string &text, const std::string &origin)
         if (l.gbps <= 0)
             fail(lv, "link " + key + " gbps must be positive");
         l.latencyNs = durationOr(lv, "latencyNs", l.latencyNs,
-                                 sim::ticksPerNs, /*positive=*/true);
+                                 sim::ticksPerNs, sim::maxDelay,
+                                 /*positive=*/true);
         if (l.latencyNs <= 0)
             fail(lv, "link " + key +
                          " latencyNs must be positive — zero-latency "
@@ -414,7 +417,8 @@ parseSpec(const std::string &text, const std::string &origin)
         t.window = uintOr(tv, "window", t.window);
         t.ops = uintOr(tv, "ops", t.ops);
         t.smokeOps = uintOr(tv, "smokeOps", t.smokeOps);
-        t.startUs = durationOr(tv, "startUs", t.startUs, sim::ticksPerUs);
+        t.startUs = durationOr(tv, "startUs", t.startUs, sim::ticksPerUs,
+                               sim::maxSpan);
         if (t.window < 1)
             fail(tv, "traffic \"" + t.name + "\" window must be >= 1");
         if (t.ops < 1)
@@ -475,15 +479,18 @@ parseSpec(const std::string &text, const std::string &origin)
                          "\" (known: " + known + ")");
         }
         f.point = str(require(fv, "point"), "fault \"point\"");
-        f.atUs = durationOr(fv, "atUs", f.atUs, sim::ticksPerUs);
-        f.forUs = durationOr(fv, "forUs", f.forUs, sim::ticksPerUs);
-        f.extraNs = durationOr(fv, "extraNs", f.extraNs, sim::ticksPerNs);
+        f.atUs = durationOr(fv, "atUs", f.atUs, sim::ticksPerUs, sim::maxSpan);
+        f.forUs =
+            durationOr(fv, "forUs", f.forUs, sim::ticksPerUs, sim::maxSpan);
+        f.extraNs = durationOr(fv, "extraNs", f.extraNs, sim::ticksPerNs,
+                               sim::maxDelay);
         spec.faults.push_back(std::move(f));
     }
 
     // --- timeline + monitors -----------------------------------------
     spec.timelineUs = durationOr(root, "timelineUs", spec.timelineUs,
-                                 sim::ticksPerUs, /*positive=*/true);
+                                 sim::ticksPerUs, sim::maxSpan,
+                                 /*positive=*/true);
     if (spec.timelineUs <= 0)
         fail(root, "timelineUs must be positive");
     std::set<std::string> monitorNames;
@@ -512,8 +519,10 @@ parseSpec(const std::string &text, const std::string &origin)
         if (m.forWindows < 1)
             fail(mv, "monitor \"" + m.name +
                          "\" forWindows must be >= 1");
-        m.fromUs = durationOr(mv, "fromUs", m.fromUs, sim::ticksPerUs);
-        m.untilUs = durationOr(mv, "untilUs", m.untilUs, sim::ticksPerUs);
+        m.fromUs =
+            durationOr(mv, "fromUs", m.fromUs, sim::ticksPerUs, sim::maxSpan);
+        m.untilUs = durationOr(mv, "untilUs", m.untilUs, sim::ticksPerUs,
+                               sim::maxSpan);
         if (mv.find("untilUs") != nullptr && m.untilUs <= m.fromUs)
             fail(mv, "monitor \"" + m.name +
                          "\" untilUs must exceed fromUs");

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "ctrl/control_plane.hh"
 #include "os/address_space.hh"
@@ -31,6 +32,15 @@ struct FuzzParams
     bool bonded;
     std::uint64_t seed;
 };
+
+// Names the ctest entries by field, not by the struct's raw bytes,
+// whose padding differs from build to build.
+void
+PrintTo(const FuzzParams &p, std::ostream *os)
+{
+    *os << "errorRate=" << p.errorRate << (p.bonded ? ",bonded" : ",single");
+    *os << ",seed=" << p.seed;
+}
 
 class DatapathFuzz : public ::testing::TestWithParam<FuzzParams>
 {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "tflow/llc.hh"
@@ -286,6 +287,14 @@ struct LlcPropertyParams
     std::uint32_t credits;
 };
 
+// Names the ctest entries by field, not by the struct's raw bytes,
+// whose padding differs from build to build.
+void
+PrintTo(const LlcPropertyParams &p, std::ostream *os)
+{
+    *os << "errorRate=" << p.errorRate << ",credits=" << p.credits;
+}
+
 class LlcProperty : public ::testing::TestWithParam<LlcPropertyParams>
 {
 };
@@ -535,6 +544,13 @@ struct LlcSoakParams
     double errorRate;
     std::uint32_t credits;
 };
+
+void
+PrintTo(const LlcSoakParams &p, std::ostream *os)
+{
+    *os << "seed=" << p.seed << ",errorRate=" << p.errorRate;
+    *os << ",credits=" << p.credits;
+}
 
 class LlcSoak : public ::testing::TestWithParam<LlcSoakParams>
 {

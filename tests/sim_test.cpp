@@ -542,17 +542,28 @@ heapInUse()
 /** Keeps the calibration block observable, so it is really made. */
 void *volatile gHeapProbe = nullptr;
 
-} // namespace
-
-TEST(SampleStatFootprint, GrowsWithDistinctValuesNotSamples)
+/**
+ * Whether heapInUse() sees a 1 MiB block come and go; @p seen gets
+ * what it saw. A sanitizer's allocator bypasses the one mallinfo2
+ * reports on.
+ */
+bool
+heapIsAccounted(std::size_t &seen)
 {
     constexpr std::size_t kMiB = 1 << 20;
     std::size_t base = heapInUse();
     gHeapProbe = std::malloc(kMiB);
-    std::size_t seen = heapInUse() - base;
+    seen = heapInUse() - base;
     std::free(gHeapProbe);
-    // A sanitizer's allocator bypasses the one mallinfo2 reports on.
-    if (seen < kMiB || seen > kMiB + 64 * 1024)
+    return seen >= kMiB && seen <= kMiB + 64 * 1024;
+}
+
+} // namespace
+
+TEST(SampleStatFootprint, GrowsWithDistinctValuesNotSamples)
+{
+    std::size_t seen = 0;
+    if (!heapIsAccounted(seen))
         GTEST_SKIP() << "no heap accounting: saw " << seen << " B";
 
     // A million samples were 8 MiB as raw doubles; a thousand
@@ -565,6 +576,23 @@ TEST(SampleStatFootprint, GrowsWithDistinctValuesNotSamples)
     EXPECT_LT(heapInUse(), before + 256 * 1024);
     EXPECT_EQ(s.quantile(1.0), 999.0);
     EXPECT_LT(heapInUse(), before + 256 * 1024);
+}
+
+TEST(QuantileSketchFootprint, GrowsWithOccupiedRangeNotLayout)
+{
+    std::size_t seen = 0;
+    if (!heapIsAccounted(seen))
+        GTEST_SKIP() << "no heap accounting: saw " << seen << " B";
+
+    // 900-1,100 ns occupies 11 buckets of the global layout. Stored
+    // from bucket 0, the same stream took 2,403 buckets (18.8 KiB).
+    QuantileSketch q;
+    Rng rng(18);
+    std::size_t before = heapInUse();
+    for (int i = 0; i < 1000000; ++i)
+        q.add(rng.uniform(900.0, 1100.0));
+    EXPECT_LT(heapInUse(), before + 1024);
+    EXPECT_EQ(q.count(), 1000000u);
 }
 
 TEST(EventQueue, DescheduleFromWithinCallback)

@@ -237,6 +237,32 @@ TEST(TopoSpecT, DurationOutsideTheTickRangeRejected)
     expectErrorAt(trafficWith("startUs"), "-1", "must not be negative");
 }
 
+TEST(TopoSpecT, DurationPastItsBoundRejected)
+{
+    // A delay may hold one simulated second, an instant or span one
+    // simulated hour (sim::maxDelay, sim::maxSpan); one past is out.
+    const std::string delay = "at most 1000000000";
+    expectErrorAt(kLinkLatency, "1000000001", delay);
+    expectErrorAt(R"({"name": "x", "nodes": [{"name": "h0"}],
+                     "switches": [{"name": "s0", "crossingNs": @}]})",
+                  "1000000001", delay);
+    expectErrorAt(R"({"name": "x", "nodes": [{"name": "h0",
+                     "dram": {"accessNs": @}}]})",
+                  "1000000001", delay);
+    const std::string span = "at most 3600000000";
+    expectErrorAt(kTimeline, "3600000001", span);
+    expectErrorAt(trafficWith("startUs"), "3600000001", span);
+    const std::string fault = R"({"name": "x", "nodes": [{"name": "h0"}],
+      "faults": [{"kind": "latencySpike", "point": "p", )";
+    expectErrorAt(fault + R"("atUs": @}]})", "3600000001", span);
+    expectErrorAt(fault + R"("forUs": @}]})", "3600000001", span);
+    expectErrorAt(fault + R"("extraNs": @}]})", "1000000001", delay);
+    const std::string monitor = R"({"name": "x", "nodes": [{"name": "h0"}],
+      "monitors": [{"name": "m", "metric": "t.ops", "threshold": 1, )";
+    expectErrorAt(monitor + R"("fromUs": @}]})", "3600000001", span);
+    expectErrorAt(monitor + R"("untilUs": @}]})", "3600000001", span);
+}
+
 TEST(TopoSpecT, IntegerBeyondItsFieldRejected)
 {
     // Each would wrap to a small value in its 32-bit field.
@@ -842,6 +868,82 @@ TEST(TopoBuildT, CachedHostRidesOutEveryFaultKind)
     EXPECT_EQ(statValue(reg, "h0.tflow", "channelFlaps"), 1.0);
 }
 
+TEST(TopoBuildT, DelaysAtTheirBoundRunToTheEnd)
+{
+    // Every delay at sim::maxDelay, one simulated second.
+    const char *text = R"({
+  "name": "slow",
+  "nodes": [
+    {"name": "h0", "role": "host", "donor": "d0",
+     "dram": {"accessNs": 1e9}},
+    {"name": "h1", "role": "host"},
+    {"name": "d0", "role": "donor", "donatedMiB": 32,
+     "dram": {"accessNs": 1e9}}
+  ],
+  "switches": [{"name": "s0", "crossingNs": 1e9}],
+  "links": [
+    {"a": "h0", "b": "s0", "latencyNs": 1e9},
+    {"a": "h1", "b": "s0", "latencyNs": 1e9}
+  ],
+  "traffic": [
+    {"name": "mem", "kind": "memory", "src": "h0", "ops": 40},
+    {"name": "ping", "kind": "rpc", "src": "h1", "dst": "h0", "ops": 20}
+  ],
+  "faults": [{"kind": "latencySpike", "point": "fabric.h1->s0",
+              "atUs": 1, "forUs": 5e6, "extraNs": 1e9}]
+})";
+    Spec spec = topo::parseSpec(text, "slow.json");
+    topo::Instance inst(spec, topo::BuildOptions{});
+    inst.run();
+    for (std::size_t i = 0; i < inst.trafficCount(); ++i) {
+        const auto &t = inst.traffic(i);
+        EXPECT_EQ(t.completed.value(), t.target) << t.name;
+    }
+    // Two links and a switch crossing each way: at least 6 s a ping.
+    EXPECT_GE(inst.traffic(1).latUs.min(), 6e6);
+    EXPECT_EQ(inst.faultsFired(), 1u);
+}
+
+TEST(TopoBuildT, SpansAtTheirBoundRunToTheEnd)
+{
+    // Every instant and span at sim::maxSpan, one simulated hour.
+    const char *text = R"({
+  "name": "late",
+  "nodes": [
+    {"name": "h0", "role": "host", "donor": "d0"},
+    {"name": "h1", "role": "host"},
+    {"name": "d0", "role": "donor", "donatedMiB": 32}
+  ],
+  "switches": [{"name": "s0"}],
+  "links": [{"a": "h0", "b": "s0"}, {"a": "h1", "b": "s0"}],
+  "traffic": [
+    {"name": "mem", "kind": "memory", "src": "h0", "ops": 40,
+     "startUs": 3.6e9},
+    {"name": "ping", "kind": "rpc", "src": "h1", "dst": "h0", "ops": 20}
+  ],
+  "faults": [{"kind": "latencySpike", "point": "fabric.h1->s0",
+              "atUs": 3.6e9, "forUs": 3.6e9, "extraNs": 1000}],
+  "timelineUs": 3.6e9,
+  "monitors": [
+    {"name": "late", "metric": "mem.latP99Us", "op": ">",
+     "threshold": 1e6, "fromUs": 3.6e9},
+    {"name": "early", "metric": "ping.latP99Us", "op": ">",
+     "threshold": 1e6, "untilUs": 3.6e9}
+  ]
+})";
+    Spec spec = topo::parseSpec(text, "late.json");
+    topo::Instance inst(spec, topo::BuildOptions{});
+    ASSERT_TRUE(inst.timelineEnabled());
+    inst.run();
+    for (std::size_t i = 0; i < inst.trafficCount(); ++i) {
+        const auto &t = inst.traffic(i);
+        EXPECT_EQ(t.completed.value(), t.target) << t.name;
+    }
+    EXPECT_EQ(inst.faultsFired(), 1u);
+    // The memory stanza and the fault run past the first hour.
+    EXPECT_GE(inst.timeline().windows(), 2u);
+}
+
 TEST(TopoBuildT, InterferenceRaisesVictimTail)
 {
     // Inline miniature of configs/noisy_neighbor.json: victim runs
@@ -1070,6 +1172,52 @@ TEST(TopoConfigsT, CheckedInConfigsBuild)
         topo::Instance inst(spec, opt);
         EXPECT_GT(inst.lpCount(), 0u) << f;
     }
+}
+
+namespace {
+
+/** The text of checked-in config @p file. */
+std::string
+configText(const std::string &file)
+{
+    std::ifstream in(std::string(TF_TOPO_CONFIG_DIR) + "/" + file);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+/** @p text with its first @p from replaced by @p to. */
+std::string
+replaced(std::string text, const std::string &from, const std::string &to)
+{
+    std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? text
+                                   : text.replace(at, from.size(), to);
+}
+
+} // namespace
+
+TEST(TopoConfigsT, DurationsARunWouldWrapRejected)
+{
+    // Each fits a Tick, but the run adds it to the clock or to another
+    // duration, which wrapped 2^64 ps mid-run ("scheduling into the
+    // past", the min-latency and timeline-boundary asserts) after the
+    // spec had passed --validate.
+    const std::string range = "beyond the simulated time range";
+    const std::string ring = configText("ring.json");
+    const std::string noisy = configText("noisy_neighbor.json");
+    const std::string spike = R"("atUs": 100, "forUs": 50)";
+    expectErrorAt(replaced(ring, R"("latencyNs": 500)", R"("latencyNs": @)"),
+                  "1.8e16", range);
+    expectErrorAt(replaced(ring, R"("crossingNs": 50)", R"("crossingNs": @)"),
+                  "1.8e16", range);
+    expectErrorAt(replaced(ring, spike, R"("atUs": @, "forUs": 1.8e13)"),
+                  "1.8e13", range);
+    expectErrorAt(replaced(ring, spike, R"("atUs": 100, "forUs": @)"),
+                  "1.8e13", range);
+    expectErrorAt(replaced(noisy, R"("timelineUs": 50)", R"("timelineUs": @)"),
+                  "1.8e13", range);
 }
 
 TEST(TopoConfigsT, NoisyNeighborMonitorsTripAsDesigned)
