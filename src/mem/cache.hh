@@ -37,6 +37,13 @@ struct CacheResult
     Addr victimAddr = 0;
 };
 
+/**
+ * LRU, write-allocate. Each set keeps its valid lines as one 64-bit
+ * word apiece, `lineNumber << 1 | dirty`, most recently used first,
+ * plus a count of how many words are valid. An 8-way set is 64 B, the
+ * size of one host cache line; the victim is always the last valid
+ * word, so no LRU clock is needed.
+ */
 class Cache
 {
   public:
@@ -60,23 +67,16 @@ class Cache
     const CacheParams &params() const { return _params; }
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
-
     CacheParams _params;
     std::uint32_t _sets;
-    std::vector<Line> _lines; // sets x ways, row-major; sized lazily
-    std::uint64_t _tick = 0;  // LRU clock
+    unsigned _lineShift; // log2(lineBytes)
+    /** sets x ways words, row-major, MRU first; sized lazily. */
+    std::vector<std::uint64_t> _words;
+    /** Valid words per set: slots [0, count) of its row. */
+    std::vector<std::uint32_t> _valid;
     sim::Counter _hits;
     sim::Counter _misses;
     sim::Counter _writebacks;
-
-    Line *setBase(Addr addr);
 };
 
 } // namespace tf::mem

@@ -1,5 +1,7 @@
 #include "tflow/datapath.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace tf::flow {
@@ -54,6 +56,7 @@ Datapath::Datapath(const std::string &name, sim::EventQueue &eq,
         _channels.push_back(std::move(ch));
     }
     _chDown.assign(_channels.size(), false);
+    _wiresDownUntil.assign(_channels.size(), 0);
     _compute.connectChannels(std::move(computeTxs));
     _stealing.connectChannels(std::move(stealTxs));
     // Pre-size the per-channel routing counters so the telemetry
@@ -151,12 +154,14 @@ Datapath::failChannel(std::size_t i)
     // Only the wires die; the datapath learns about it the way real
     // hardware does, through the LLC's missing-ack escalation.
     channel(i).fail();
+    _wiresDownUntil.at(i) = sim::maxTick;
 }
 
 void
 Datapath::recoverChannel(std::size_t i)
 {
     channel(i).recover();
+    _wiresDownUntil.at(i) = 0;
     if (_chDown.at(i)) {
         _chDown[i] = false;
         _compute.routing().markChannelUp(static_cast<int>(i));
@@ -169,7 +174,14 @@ Datapath::flapChannel(std::size_t i, sim::Tick downFor)
 {
     channel(i).fail();
     _flaps.inc();
-    _eq.scheduleIn(downFor, [this, i]() { recoverChannel(i); });
+    sim::Tick &until = _wiresDownUntil.at(i);
+    until = std::max(until, _eq.now() + downFor);
+    _eq.scheduleIn(downFor, [this, i]() {
+        // A hard failure, or a later flap still in its window, keeps
+        // the wires down past this flap's end.
+        if (_eq.now() >= _wiresDownUntil[i])
+            recoverChannel(i);
+    });
 }
 
 void

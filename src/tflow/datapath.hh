@@ -89,7 +89,10 @@ class Datapath
      */
     void failChannel(std::size_t i);
 
-    /** Fault injection: repair a channel and restore it to routing. */
+    /**
+     * Fault injection: repair a channel and restore it to routing,
+     * ending any outage failChannel() or flapChannel() started.
+     */
     void recoverChannel(std::size_t i);
 
     /**
@@ -98,7 +101,10 @@ class Datapath
      * is even noticed depends on its length vs the LLC's replay
      * escalation: short flaps heal invisibly through go-back-N replay;
      * long ones escalate to link-down and the recovery retrains the
-     * channel and re-admits it to routing.
+     * channel and re-admits it to routing. Overlapping flaps keep the
+     * wires down until the last window ends, and a flap never revives
+     * a channel hard-failed by failChannel() (only recoverChannel()
+     * repairs that).
      */
     void flapChannel(std::size_t i, sim::Tick downFor);
 
@@ -150,6 +156,11 @@ class Datapath
     ComputeEndpoint _compute;
     StealingEndpoint _stealing;
     std::vector<bool> _chDown;
+    /**
+     * Per channel, when its injected wire outage ends: maxTick after
+     * failChannel(), 0 once recoverChannel() repaired it.
+     */
+    std::vector<sim::Tick> _wiresDownUntil;
     std::vector<LinkListener> _listeners;
     sim::Counter _linkDowns;
     sim::Counter _flaps;

@@ -123,6 +123,7 @@ class Wire : public sim::SimObject
     std::uint64_t framesLostDown() const { return _framesLostDown.value(); }
     std::uint64_t ctrlLostDown() const { return _ctrlLostDown.value(); }
     std::uint64_t failEvents() const { return _failEvents.value(); }
+    std::uint64_t burstWindows() const { return _burstWindows.value(); }
     std::uint64_t wireBytes() const { return _wireBytes.value(); }
 
     /** Wire utilisation over [0, now]: busy fraction. */

@@ -220,6 +220,8 @@ TEST_F(BondedFailoverFixture, BurstLossWindowHealedByReplay)
 
     EXPECT_EQ(engine.fired(), 1u);
     auto &ch = dp->channel(1);
+    EXPECT_EQ(ch.wireAB().burstWindows(), 1u);
+    EXPECT_EQ(ch.wireBA().burstWindows(), 1u);
     EXPECT_GT(ch.wireAB().framesCorrupted() +
                   ch.wireBA().framesCorrupted(),
               0u)

@@ -207,6 +207,7 @@ TEST_F(LlcFixture, HeavyLossStillInOrder)
     auto ids = sendTxns(1000);
     eq.run();
     EXPECT_EQ(deliveredIds, ids);
+    EXPECT_EQ(ch->rxB().duplicates(), 4230u);
 }
 
 TEST_F(LlcFixture, CutThroughLossyExactlyOnceAnyOrder)
@@ -228,6 +229,7 @@ TEST_F(LlcFixture, CutThroughLossyExactlyOnceAnyOrder)
     EXPECT_EQ(sortedDelivered, sortedIds);
     EXPECT_GT(ch->rxB().earlyReleases(), 0u);
     EXPECT_GT(ch->txA().replayedFrames(), 0u);
+    EXPECT_EQ(ch->rxB().duplicates(), 11u);
 }
 
 TEST_F(LlcFixture, BidirectionalTrafficIndependent)
@@ -467,6 +469,10 @@ TEST_F(LlcFixture, DeadChannelEscalatesToLinkDown)
     EXPECT_GE(ch->txA().timeouts(), 3u);
     EXPECT_GT(ch->wireAB().framesLostDown() + ch->wireAB().framesDropped(),
               0u);
+    EXPECT_EQ(ch->wireAB().failEvents(), 1u);
+    EXPECT_EQ(ch->wireBA().failEvents(), 1u);
+    EXPECT_EQ(ch->wireAB().ctrlLostDown(), 0u);
+    EXPECT_EQ(ch->wireBA().ctrlLostDown(), 1u);
 }
 
 TEST_F(LlcFixture, StarvedCreditsOnDeadLinkStillEscalate)
@@ -490,6 +496,7 @@ TEST_F(LlcFixture, StarvedCreditsOnDeadLinkStillEscalate)
     EXPECT_TRUE(ch->txA().linkDown());
     EXPECT_EQ(healthCalls, 1);
     EXPECT_EQ(ch->txA().linkDownsDeclared(), 1u);
+    EXPECT_EQ(ch->txA().creditStarves(), 1u);
 }
 
 TEST_F(LlcFixture, EscalationDisabledReplaysForever)
@@ -673,6 +680,9 @@ TEST_F(LlcFixture, AckChurnKeepsKernelHeapBounded)
     // in-flight transaction, so the bound sits above 4000 but well
     // under the garbage regime.
     EXPECT_LT(worstHeap, 6000u);
+    // The flap also swallows the acks and credits already on the
+    // reverse wire.
+    EXPECT_EQ(ch->wireBA().ctrlLostDown(), 8u);
 }
 
 // ------------------------------------------------------------------

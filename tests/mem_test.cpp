@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/transaction.hh"
+#include "sim/rng.hh"
 #include "tflow/rig.hh"
 
 using namespace tf;
@@ -681,4 +683,177 @@ TEST(CacheModel, FlushBeforeFirstAccessMatchesFlushAfterUse)
     EXPECT_EQ(fresh.writebacks(), used.writebacks() - before[2]);
     EXPECT_GT(fresh.writebacks(), 0u);
     EXPECT_GT(fresh.hits(), 0u);
+}
+
+// ---- differential check against the LRU-stamp tag layout ----
+
+namespace {
+
+/**
+ * The tag array as it was before MRU-ordered words: one
+ * {tag, lru, valid, dirty} record per way and a global LRU clock. A
+ * fill takes an invalid way if there is one, else the smallest stamp.
+ */
+class StampCache
+{
+  public:
+    explicit StampCache(CacheParams p)
+        : _p(p), _sets(p.sizeBytes / p.lineBytes / p.ways),
+          _lines(_sets * p.ways)
+    {
+    }
+
+    CacheResult access(Addr addr, bool write)
+    {
+        ++_tick;
+        Addr tag = addr / _p.lineBytes;
+        Line *set = &_lines[(tag & (_sets - 1)) * _p.ways];
+        Line *victim = set;
+        for (std::uint32_t w = 0; w < _p.ways; ++w) {
+            Line &line = set[w];
+            if (line.valid && line.tag == tag) {
+                line.lru = _tick;
+                line.dirty = line.dirty || write;
+                ++hits;
+                return CacheResult{true, false, 0};
+            }
+            if (!line.valid)
+                victim = &line;
+            else if (victim->valid && line.lru < victim->lru)
+                victim = &line;
+        }
+        ++misses;
+        CacheResult result;
+        if (victim->valid && victim->dirty) {
+            result.writeback = true;
+            result.victimAddr = victim->tag * _p.lineBytes;
+            ++writebacks;
+        }
+        *victim = Line{tag, _tick, true, write};
+        return result;
+    }
+
+    void flush() { std::fill(_lines.begin(), _lines.end(), Line{}); }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t writebacks = 0;
+
+  private:
+    struct Line
+    {
+        Addr tag = 0;
+        std::uint64_t lru = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    CacheParams _p;
+    std::uint64_t _sets;
+    std::vector<Line> _lines;
+    std::uint64_t _tick = 0;
+};
+
+/** Next address of a stream over a cache of @p bytes, @p line lines. */
+using AddrStream =
+    std::function<Addr(sim::Rng &, std::uint64_t bytes, std::uint32_t line)>;
+
+/**
+ * Drive both tag layouts with @p next (25% stores, flushing with
+ * probability @p flushChance per access) at 1-16 ways and 64/128 B
+ * lines; every access must agree on hit, write-back and victim, and
+ * the counters must agree at the end.
+ */
+void
+diffAgainstStamps(const AddrStream &next, double flushChance = 0)
+{
+    constexpr std::uint64_t bytes = 32 * 1024;
+    constexpr int accesses = 40000;
+    for (std::uint32_t line : {64u, 128u}) {
+        for (std::uint32_t ways : {1u, 2u, 4u, 8u, 16u}) {
+            SCOPED_TRACE(std::to_string(ways) + " ways, " +
+                         std::to_string(line) + " B lines");
+            CacheParams p{bytes, ways, line};
+            Cache cache(p);
+            StampCache ref(p);
+            sim::Rng rng(ways * 1000 + line);
+            for (int i = 0; i < accesses; ++i) {
+                if (flushChance > 0 && rng.chance(flushChance)) {
+                    cache.flush();
+                    ref.flush();
+                }
+                Addr addr = next(rng, bytes, line);
+                bool write = rng.chance(0.25);
+                CacheResult got = cache.access(addr, write);
+                CacheResult want = ref.access(addr, write);
+                ASSERT_EQ(got.hit, want.hit) << "access " << i;
+                ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
+                ASSERT_EQ(got.victimAddr, want.victimAddr)
+                    << "access " << i;
+            }
+            EXPECT_EQ(cache.hits(), ref.hits);
+            EXPECT_EQ(cache.misses(), ref.misses);
+            EXPECT_EQ(cache.writebacks(), ref.writebacks);
+            EXPECT_GT(ref.writebacks, 0u);
+        }
+    }
+}
+
+/** A random byte of the first @p span bytes above @p base. */
+Addr
+anyByte(sim::Rng &rng, Addr base, std::uint64_t span)
+{
+    return base + rng.below(span);
+}
+
+} // namespace
+
+TEST(CacheDiff, WorkingSetThreeTimesTheCache)
+{
+    diffAgainstStamps([](sim::Rng &rng, std::uint64_t bytes,
+                         std::uint32_t) {
+        return anyByte(rng, 0, 3 * bytes);
+    });
+}
+
+TEST(CacheDiff, Streaming)
+{
+    Addr cursor = 0;
+    diffAgainstStamps([&cursor](sim::Rng &, std::uint64_t,
+                                std::uint32_t line) {
+        cursor += line;
+        return cursor;
+    });
+}
+
+TEST(CacheDiff, HotSetTakesNinetyPercent)
+{
+    // 90% of accesses to a half-cache hot set, the rest to a cold
+    // region eight times the cache.
+    diffAgainstStamps([](sim::Rng &rng, std::uint64_t bytes,
+                         std::uint32_t) {
+        return rng.chance(0.9) ? anyByte(rng, 0, bytes / 2)
+                               : anyByte(rng, bytes, 8 * bytes);
+    });
+}
+
+TEST(CacheDiff, HighAddressesAliasLowSets)
+{
+    // Regions at and above 2^47 share set indices with the low one,
+    // so only the full line number tells them apart.
+    diffAgainstStamps([](sim::Rng &rng, std::uint64_t bytes,
+                         std::uint32_t) {
+        static constexpr Addr bases[] = {0, Addr{1} << 47, Addr{1} << 56,
+                                         Addr{1} << 63};
+        return anyByte(rng, bases[rng.below(4)], 2 * bytes);
+    });
+}
+
+TEST(CacheDiff, InterleavedFlushes)
+{
+    diffAgainstStamps(
+        [](sim::Rng &rng, std::uint64_t bytes, std::uint32_t) {
+            return anyByte(rng, 0, 3 * bytes);
+        },
+        0.001);
 }

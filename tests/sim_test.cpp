@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the discrete-event kernel, RNG and statistics.
+ * Unit tests for the discrete-event kernel, RNG and statistics, and
+ * the heap-footprint checks (which include the cache's tag array).
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "mem/cache.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -593,6 +595,23 @@ TEST(QuantileSketchFootprint, GrowsWithOccupiedRangeNotLayout)
         q.add(rng.uniform(900.0, 1100.0));
     EXPECT_LT(heapInUse(), before + 1024);
     EXPECT_EQ(q.count(), 1000000u);
+}
+
+TEST(CacheFootprint, EightByteTagWordPerLine)
+{
+    std::size_t seen = 0;
+    if (!heapIsAccounted(seen))
+        GTEST_SKIP() << "no heap accounting: saw " << seen << " B";
+
+    // 8 MiB of 128 B lines, 8-way: 65,536 tag words (512 KiB) and
+    // 8,192 per-set counts (32 KiB). A 24 B record per line was
+    // 1.5 MiB.
+    tf::mem::Cache cache({8 * 1024 * 1024, 8, 128});
+    std::size_t before = heapInUse();
+    for (std::uint32_t set = 0; set < cache.sets(); ++set)
+        cache.access(tf::mem::Addr{set} * 128, true);
+    EXPECT_LE(heapInUse(), before + 600 * 1024);
+    EXPECT_EQ(cache.misses(), cache.sets());
 }
 
 TEST(EventQueue, DescheduleFromWithinCallback)

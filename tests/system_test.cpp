@@ -132,6 +132,64 @@ TEST_F(PathFixture, StreamingStoresBypassCache)
     EXPECT_EQ(path->hits(), 0u);
 }
 
+namespace {
+
+/** 2 KiB, 2-way, 128 B lines: 8 sets, so lines 8 apart share a set. */
+struct SmallCachePathFixture : PathFixture
+{
+    void
+    SetUp() override
+    {
+        params.cache = mem::CacheParams{2048, 2, 128};
+        PathFixture::SetUp();
+    }
+};
+
+} // namespace
+
+TEST_F(SmallCachePathFixture, DirtyVictimsAreWrittenBackToTheirLines)
+{
+    // Four lines of one set, each holding a marker in DRAM. A
+    // write-back carries a zero line, so it clears exactly the marker
+    // of the line it writes.
+    constexpr std::uint64_t kMark = 0x5eed;
+    mem::Addr va = space->mmap(1 << 20);
+    std::vector<mem::Addr> lines;
+    std::vector<mem::Addr> pa;
+    for (int i = 0; i < 4; ++i) {
+        lines.push_back(va + static_cast<mem::Addr>(i) * 8 * 128);
+        pa.push_back(*space->translate(lines.back()));
+        ASSERT_EQ(pa.back() / 128 % 8, pa.front() / 128 % 8);
+        node->store().write64(pa.back(), kMark);
+    }
+
+    // Store-fill both ways of the set: two reads, nothing written yet.
+    path->burst(*space, {lines[0], lines[1]}, true, 2, [] {});
+    eq.run();
+    EXPECT_EQ(path->writebacks(), 0u);
+    EXPECT_EQ(node->dram().reads(), 2u);
+    EXPECT_EQ(node->dram().writes(), 0u);
+
+    // Each load evicts the least recently stored line.
+    path->burst(*space, {lines[2]}, false, 1, [] {});
+    eq.run();
+    EXPECT_EQ(path->writebacks(), 1u);
+    EXPECT_EQ(node->dram().writes(), 1u);
+    EXPECT_EQ(node->store().read64(pa[0]), 0u);
+    EXPECT_EQ(node->store().read64(pa[1]), kMark);
+
+    path->burst(*space, {lines[3]}, false, 1, [] {});
+    eq.run();
+    EXPECT_EQ(path->writebacks(), 2u);
+    EXPECT_EQ(node->cache().writebacks(), 2u);
+    EXPECT_EQ(node->dram().reads(), 4u);
+    EXPECT_EQ(node->dram().writes(), 2u);
+    EXPECT_EQ(node->store().read64(pa[1]), 0u);
+    // The loaded lines were only read.
+    EXPECT_EQ(node->store().read64(pa[2]), kMark);
+    EXPECT_EQ(node->store().read64(pa[3]), kMark);
+}
+
 TEST(TestbedT, LocalSetupHasNoDatapath)
 {
     sim::EventQueue eq;

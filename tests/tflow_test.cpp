@@ -87,6 +87,7 @@ TEST(RoutingT, SingleChannelFlow)
     txn->bonded = false;
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(routing.route(*txn), 1);
+    EXPECT_EQ(routing.routed(), 5u);
 }
 
 TEST(RoutingT, BondedRoundRobin)
@@ -100,6 +101,7 @@ TEST(RoutingT, BondedRoundRobin)
     for (int i = 0; i < 6; ++i)
         picks.push_back(routing.route(*txn));
     EXPECT_EQ(picks, (std::vector<int>{0, 1, 0, 1, 0, 1}));
+    EXPECT_EQ(routing.routed(), 6u);
 }
 
 TEST(RoutingT, BondedFlagOffUsesFirstChannelOnly)
@@ -120,6 +122,7 @@ TEST(RoutingT, UnknownFlowDropped)
     txn->networkId = 9;
     EXPECT_EQ(routing.route(*txn), -1);
     EXPECT_EQ(routing.dropped(), 1u);
+    EXPECT_EQ(routing.routed(), 0u);
 }
 
 TEST(RoutingT, ConcurrentFlowsShareChannel)
@@ -408,6 +411,46 @@ TEST_F(DatapathFixture, C1AuthorisationEnforced)
     ASSERT_TRUE(rd);
     EXPECT_TRUE(rd->error);
     EXPECT_EQ(dp->c1().faults(), 1u);
+}
+
+TEST_F(DatapathFixture, FlapEndingAfterAHardFailureLeavesItDown)
+{
+    build();
+    dp->failChannel(0);
+    eq.schedule(sim::microseconds(1), [this]() {
+        dp->flapChannel(0, sim::microseconds(10));
+    });
+    eq.run(sim::microseconds(50));
+    EXPECT_EQ(dp->channelFlaps(), 1u);
+    EXPECT_TRUE(dp->channel(0).failed());
+
+    // Only the explicit repair brings a hard-failed channel back.
+    dp->recoverChannel(0);
+    EXPECT_FALSE(dp->channel(0).failed());
+}
+
+TEST_F(DatapathFixture, OverlappingFlapsLastUntilTheLaterEnd)
+{
+    build();
+    // Flaps over [0, 10) and [5, 55) us: one outage until 55 us.
+    dp->flapChannel(0, sim::microseconds(10));
+    eq.schedule(sim::microseconds(5), [this]() {
+        dp->flapChannel(0, sim::microseconds(50));
+    });
+    eq.run(sim::microseconds(20));
+    EXPECT_TRUE(dp->channel(0).failed());
+    eq.run(sim::microseconds(54));
+    EXPECT_TRUE(dp->channel(0).failed());
+    eq.run(sim::microseconds(55));
+    EXPECT_FALSE(dp->channel(0).failed());
+
+    // A later flap gets a window of its own again.
+    dp->flapChannel(0, sim::microseconds(10));
+    EXPECT_TRUE(dp->channel(0).failed());
+    eq.run();
+    EXPECT_FALSE(dp->channel(0).failed());
+    EXPECT_EQ(eq.now(), sim::microseconds(65));
+    EXPECT_EQ(dp->channelFlaps(), 3u);
 }
 
 TEST_F(DatapathFixture, ReadBandwidthSingleChannel)

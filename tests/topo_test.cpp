@@ -868,6 +868,33 @@ TEST(TopoBuildT, CachedHostRidesOutEveryFaultKind)
     EXPECT_EQ(statValue(reg, "h0.tflow", "channelFlaps"), 1.0);
 }
 
+TEST(TopoBuildT, OverlappingChannelFlapsMakeOneOutage)
+{
+    // A 5 us flap inside a 2 ms one: the wires stay down until the
+    // long flap ends, so the LLC's replay rounds run out and the
+    // channel is declared dead. Ended by the short flap's expiry, the
+    // outage would heal through replay instead.
+    std::string text(kValid);
+    auto pos = text.rfind('}');
+    ASSERT_NE(pos, std::string::npos);
+    text.insert(pos, R"(, "faults": [
+      {"kind": "channelFlap", "point": "h0.tflow.ch0", "atUs": 5,
+       "forUs": 2000},
+      {"kind": "channelFlap", "point": "h0.tflow.ch0", "atUs": 6,
+       "forUs": 5}])");
+    Spec spec = topo::parseSpec(text, "mini.json");
+    topo::Instance inst(spec, topo::BuildOptions{});
+    inst.run();
+    for (std::size_t i = 0; i < inst.trafficCount(); ++i) {
+        const auto &t = inst.traffic(i);
+        EXPECT_EQ(t.completed.value(), t.target) << t.name;
+    }
+    sim::StatsRegistry reg;
+    inst.registerStats(reg);
+    EXPECT_EQ(statValue(reg, "h0.tflow", "channelFlaps"), 2.0);
+    EXPECT_EQ(statValue(reg, "h0.tflow", "linkDownEvents"), 1.0);
+}
+
 TEST(TopoBuildT, DelaysAtTheirBoundRunToTheEnd)
 {
     // Every delay at sim::maxDelay, one simulated second.
