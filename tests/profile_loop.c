@@ -1,10 +1,13 @@
 /*
  * Input for check_profile.py: about nine tenths of the CPU time goes
  * to hot_loop(), always called through outer(), and the rest to
- * cold_loop().
+ * cold_loop(). Given a path, it then execs that program without
+ * LD_PRELOAD, so the new image has no SIGPROF handler.
  */
 
 #include <stdint.h>
+#include <stdlib.h>
+#include <unistd.h>
 
 static volatile uint64_t sink;
 
@@ -33,12 +36,17 @@ outer(uint64_t n)
 }
 
 int
-main(void)
+main(int argc, char **argv)
 {
     /* Arguments vary by round, so no call can be hoisted out. */
     for (uint64_t round = 0; round < 10; ++round) {
         sink += outer(18000000 + round);
         sink += cold_loop(2000000 + round);
+    }
+    if (argc > 1) {
+        unsetenv("LD_PRELOAD");
+        execv(argv[1], argv + 1);
+        return 1;
     }
     return 0;
 }

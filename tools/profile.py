@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Sampling CPU profiler: where a command spends its time, by function.
 
-    tools/profile.py [--hz N] [--top N] -- COMMAND [ARGS...]
+    tools/profile.py [--top N] -- COMMAND [ARGS...]
 
 The command runs with tools/sampler.c preloaded (built on demand with
-cc into a temporary directory). Every 1/N seconds of CPU time the
+cc into a temporary directory). 250 times per second of CPU time the
 sampler records the running thread's PC and its frame-pointer call
 chain; at exit this tool symbolizes them with `addr2line -f -C` and
 prints, per function, its self share (samples whose PC is in it) and
 inclusive share (samples with it anywhere on the stack), with the
-sample count. Threads and child processes are all counted.
+sample count. Threads, child processes and images the command execs
+are all counted, as long as they keep the environment.
 
 Unlike gprof, nothing is instrumented, so small hot functions are not
 inflated by mcount calls. Self shares need no special build; inclusive
@@ -31,9 +32,14 @@ Limits:
    inclusive column.
  - Library internals with no symbol of their own (glibc's memmove
    variants, say) show under the nearest exported name.
- - The kernel may round the sampling interval up to its scheduler
-   tick (4 ms at HZ=250), so short runs collect few samples; the
-   header gives the count.
+ - The kernel rounds the timer up to its scheduler tick (4 ms at
+   HZ=250), so 250 Hz is about the most it delivers, and short runs
+   collect few samples; the header gives the count.
+ - A process holds 200,000 samples (800 CPU-seconds). The header
+   counts the samples dropped after that and warns, as the shares
+   then cover only the start of the run.
+ - An exec through execl*, fexecve or a raw syscall is not caught
+   by the sampler, and the new image may die at the next tick.
 
 Only the standard library is used.
 """
@@ -74,10 +80,15 @@ class Module:
         self.relocated = head[:4] == b"\x7fELF" and head[16] == 3
 
 
+Dump = collections.namedtuple("Dump", "samples modules pid dropped")
+
+
 def parse_dump(path):
-    """Samples (lists of PCs, leaf first) and the modules of one dump."""
+    """One dump: its samples (lists of PCs, leaf first), its modules,
+    the writer's pid and the samples it dropped once its slots filled."""
     modules = {}
     samples = []
+    pid = dropped = 0
     with open(path) as f:
         for line in f:
             if line.startswith("S "):
@@ -99,7 +110,11 @@ def parse_dump(path):
                     mod.base = start
                 if "x" in fields[1]:
                     mod.ranges.append((start, end))
-    return samples, [m for m in modules.values() if m.base is not None]
+            elif line.startswith("# tf-sampler "):
+                header = dict(kv.split("=", 1) for kv in line.split()[2:])
+                pid, dropped = int(header["pid"]), int(header["dropped"])
+    return Dump(samples, [m for m in modules.values() if m.base is not None],
+                pid, dropped)
 
 
 def locate(modules, pc):
@@ -114,13 +129,13 @@ def symbolize(dumps):
     """Map every (dump, pc) to a function name, one addr2line per file."""
     wanted = collections.defaultdict(set)  # module path -> file addrs
     where = {}  # (dump index, pc, leaf) -> (module path, file address)
-    for i, (samples, modules) in enumerate(dumps):
-        for stack in samples:
+    for i, dump in enumerate(dumps):
+        for stack in dump.samples:
             for depth, pc in enumerate(stack):
                 key = (i, pc, depth == 0)
                 if key in where:
                     continue
-                mod = locate(modules, pc)
+                mod = locate(dump.modules, pc)
                 if mod is None:
                     where[key] = None
                     continue
@@ -157,8 +172,8 @@ def report(dumps, top, out):
     self_n = collections.Counter()
     incl_n = collections.Counter()
     total = 0
-    for i, (samples, _) in enumerate(dumps):
-        for stack in samples:
+    for i, dump in enumerate(dumps):
+        for stack in dump.samples:
             total += 1
             fns = [name(i, stack[0], True)]
             for pc in stack[1:]:
@@ -169,10 +184,15 @@ def report(dumps, top, out):
             self_n[fns[0]] += 1
             for fn in set(fns):
                 incl_n[fn] += 1
+    dropped = sum(d.dropped for d in dumps)
     if total == 0:
         out.write("profile: no samples\n")
         return
-    out.write(f"profile: {total} samples from {len(dumps)} process(es)\n")
+    out.write(f"profile: {total} samples ({dropped} dropped) from "
+              f"{len({d.pid for d in dumps})} process(es)\n")
+    if dropped:
+        out.write("warning: samples were dropped once a process's slots "
+                  "filled; the shares cover only the start of its run\n")
     for title, key in (("self", self_n), ("inclusive", incl_n)):
         out.write(f"\nby {title}:\n   self%   incl%  samples  function\n")
         for fn, _ in key.most_common(top):
@@ -184,9 +204,7 @@ def report(dumps, top, out):
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
-        usage="%(prog)s [--hz N] [--top N] -- COMMAND [ARGS...]")
-    ap.add_argument("--hz", type=int, default=997,
-                    help="samples per CPU-second (default 997)")
+        usage="%(prog)s [--top N] -- COMMAND [ARGS...]")
     ap.add_argument("--top", type=int, default=25,
                     help="functions listed per table (default 25)")
     ap.add_argument("command", nargs=argparse.REMAINDER)
@@ -204,7 +222,6 @@ def main():
         env["LD_PRELOAD"] = " ".join(
             p for p in (str(so), env.get("LD_PRELOAD", "")) if p)
         env["TF_SAMPLER_OUT"] = os.path.join(work, "samples")
-        env["TF_SAMPLER_HZ"] = str(args.hz)
         status = subprocess.run(cmd, env=env, check=False).returncode
         dumps = [parse_dump(p)
                  for p in sorted(Path(work).glob("samples.*"))]

@@ -1,24 +1,30 @@
 /*
  * SIGPROF stack sampler, loaded with LD_PRELOAD by tools/profile.py.
  *
- * ITIMER_PROF fires every 1/TF_SAMPLER_HZ seconds of the process's
- * CPU time (all threads together), and the thread that was running
- * takes the signal. The handler records the interrupted PC and walks
- * the frame-pointer chain above it into a preallocated slot; an
- * atomic slot index lets handlers on several threads record at once,
- * so multi-threaded runs (tf_bench --jobs N) are safe. At exit the
- * samples and /proc/self/maps go to TF_SAMPLER_OUT.<pid>, which
- * profile.py symbolizes.
+ * ITIMER_PROF fires every 1/SAMPLE_HZ seconds of the process's CPU
+ * time (all threads together), and the thread that was running takes
+ * the signal. The handler records the interrupted PC and walks the
+ * frame-pointer chain above it into a preallocated slot; an atomic
+ * slot index lets handlers on several threads record at once, so
+ * multi-threaded runs (tf_bench --jobs N) are safe. At exit the
+ * samples and /proc/self/maps go to TF_SAMPLER_OUT.<pid>.<n>, which
+ * profile.py symbolizes. TF_SAMPLER_OUT unset leaves the shim idle.
  *
- * Environment: TF_SAMPLER_OUT (required; unset means the shim stays
- * idle), TF_SAMPLER_HZ (default 997), TF_SAMPLER_MAX (sample slots,
- * default 200000).
+ * The timer outlives execve but the handler does not, so the new
+ * image would lose the samples and take the next SIGPROF with its
+ * default action, which ends the process. The exec functions a
+ * program calls directly (execve, execv, execvp, execvpe) are
+ * therefore wrapped: they stop the timer and write the samples
+ * first, and restart sampling if the exec fails. An image that
+ * preloads the shim again samples afresh into the next <n>. execl*,
+ * fexecve and raw syscalls are not wrapped.
  *
  * Only frames built with -fno-omit-frame-pointer chain to their
  * callers; the PC itself (self time) is exact in any code.
  */
 
 #define _GNU_SOURCE
+#include <dlfcn.h>
 #include <errno.h>
 #include <fcntl.h>
 #include <signal.h>
@@ -31,6 +37,10 @@
 #include <ucontext.h>
 #include <unistd.h>
 
+/* The kernel rounds a faster timer to its tick (250 Hz at HZ=250). */
+#define SAMPLE_HZ 250
+/* 800 CPU-seconds at SAMPLE_HZ; later samples are counted as dropped. */
+#define MAX_SAMPLES 200000
 #define MAX_DEPTH 64
 /* A frame larger than this ends the walk as implausible. */
 #define MAX_FRAME_BYTES (1u << 20)
@@ -42,13 +52,13 @@ struct slot
 };
 
 static struct slot *slots;
-static uint64_t nslots;
 static uint64_t next_slot; /* atomic */
 static uint64_t dropped;   /* atomic */
+static uint64_t written;   /* slots below this are in an earlier dump */
 static int probe[2] = {-1, -1};
-static char out_path[4096];
+static char out_base[4096];
 static pid_t owner; /* a forked child that never execs writes nothing */
-static long hz;
+static struct sigaction old_action;
 
 /*
  * Whether the 16 bytes at @p p can be read: write() reports EFAULT
@@ -72,7 +82,7 @@ on_sigprof(int sig, siginfo_t *info, void *uctx)
     (void)info;
     int saved = errno;
     uint64_t i = __atomic_fetch_add(&next_slot, 1, __ATOMIC_RELAXED);
-    if (i >= nslots) {
+    if (i >= MAX_SAMPLES) {
         __atomic_fetch_add(&dropped, 1, __ATOMIC_RELAXED);
         errno = saved;
         return;
@@ -114,70 +124,57 @@ on_sigprof(int sig, siginfo_t *info, void *uctx)
     errno = saved;
 }
 
-__attribute__((constructor)) static void
-sampler_start(void)
+static void
+set_timer(long interval_us)
 {
-    const char *out = getenv("TF_SAMPLER_OUT");
-    if (out == NULL || *out == '\0')
-        return;
-    owner = getpid();
-    snprintf(out_path, sizeof out_path, "%s.%d", out, (int)owner);
-    const char *h = getenv("TF_SAMPLER_HZ");
-    hz = h != NULL ? atol(h) : 997;
-    if (hz < 1 || hz > 100000)
-        hz = 997;
-    const char *m = getenv("TF_SAMPLER_MAX");
-    nslots = m != NULL ? strtoull(m, NULL, 10) : 200000;
-    if (nslots == 0)
-        nslots = 200000;
+    struct itimerval it;
+    it.it_interval.tv_sec = 0;
+    it.it_interval.tv_usec = interval_us;
+    it.it_value = it.it_interval;
+    setitimer(ITIMER_PROF, &it, NULL);
+}
 
-    /* Pages are touched only as slots fill. */
-    slots = mmap(NULL, nslots * sizeof(struct slot),
-                 PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    if (slots == MAP_FAILED || pipe2(probe, O_NONBLOCK | O_CLOEXEC) != 0) {
-        fprintf(stderr, "sampler: setup failed: %s\n", strerror(errno));
-        slots = NULL;
-        return;
-    }
-
+static void
+start_sampling(void)
+{
     struct sigaction sa;
     memset(&sa, 0, sizeof sa);
     sa.sa_sigaction = on_sigprof;
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigemptyset(&sa.sa_mask);
     sigaction(SIGPROF, &sa, NULL);
-
-    struct itimerval it;
-    it.it_interval.tv_sec = 0;
-    it.it_interval.tv_usec = 1000000 / hz;
-    if (it.it_interval.tv_usec == 0)
-        it.it_interval.tv_usec = 1;
-    it.it_value = it.it_interval;
-    setitimer(ITIMER_PROF, &it, NULL);
+    set_timer(1000000 / SAMPLE_HZ);
 }
 
-__attribute__((destructor)) static void
-sampler_stop(void)
+/*
+ * Writes the samples recorded since the last dump, and the maps that
+ * symbolize them, to the first free TF_SAMPLER_OUT.<pid>.<n>: an
+ * exec keeps the pid, so each image of a process takes its own <n>.
+ */
+static void
+dump(void)
 {
-    if (slots == NULL || getpid() != owner)
-        return;
-    struct itimerval off;
-    memset(&off, 0, sizeof off);
-    setitimer(ITIMER_PROF, &off, NULL);
-    signal(SIGPROF, SIG_IGN);
-
-    FILE *f = fopen(out_path, "w");
+    char path[sizeof out_base + 32];
+    int fd = -1;
+    for (int n = 0; fd < 0; ++n) {
+        snprintf(path, sizeof path, "%s.%d.%d", out_base, (int)owner, n);
+        fd = open(path, O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+        if (fd < 0 && errno != EEXIST) {
+            fprintf(stderr, "sampler: %s: %s\n", path, strerror(errno));
+            return;
+        }
+    }
+    FILE *f = fdopen(fd, "w");
     if (f == NULL) {
-        fprintf(stderr, "sampler: %s: %s\n", out_path, strerror(errno));
+        close(fd);
         return;
     }
-    uint64_t n = __atomic_load_n(&next_slot, __ATOMIC_ACQUIRE);
-    if (n > nslots)
-        n = nslots;
-    fprintf(f, "# tf-sampler hz=%ld dropped=%llu\n", hz,
-            (unsigned long long)__atomic_load_n(&dropped,
-                                                __ATOMIC_RELAXED));
+    uint64_t end = __atomic_load_n(&next_slot, __ATOMIC_ACQUIRE);
+    if (end > MAX_SAMPLES)
+        end = MAX_SAMPLES;
+    fprintf(f, "# tf-sampler pid=%d dropped=%llu\n", (int)owner,
+            (unsigned long long)__atomic_exchange_n(&dropped, 0,
+                                                    __ATOMIC_RELAXED));
     FILE *maps = fopen("/proc/self/maps", "r");
     if (maps != NULL) {
         char line[4096 + 256];
@@ -185,7 +182,7 @@ sampler_stop(void)
             fprintf(f, "M %s", line);
         fclose(maps);
     }
-    for (uint64_t i = 0; i < n; ++i) {
+    for (uint64_t i = written; i < end; ++i) {
         uint64_t depth = __atomic_load_n(&slots[i].depth, __ATOMIC_ACQUIRE);
         if (depth == 0)
             continue;
@@ -194,5 +191,78 @@ sampler_stop(void)
             fprintf(f, " %llx", (unsigned long long)slots[i].pc[d]);
         fputc('\n', f);
     }
+    written = end;
     fclose(f);
 }
+
+__attribute__((constructor)) static void
+sampler_start(void)
+{
+    const char *out = getenv("TF_SAMPLER_OUT");
+    if (out == NULL || *out == '\0')
+        return;
+    owner = getpid();
+    snprintf(out_base, sizeof out_base, "%s", out);
+
+    /* Pages are touched only as slots fill. */
+    slots = mmap(NULL, MAX_SAMPLES * sizeof(struct slot),
+                 PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (slots == MAP_FAILED || pipe2(probe, O_NONBLOCK | O_CLOEXEC) != 0) {
+        fprintf(stderr, "sampler: setup failed: %s\n", strerror(errno));
+        slots = NULL;
+        return;
+    }
+    sigaction(SIGPROF, NULL, &old_action);
+    start_sampling();
+}
+
+__attribute__((destructor)) static void
+sampler_stop(void)
+{
+    if (slots == NULL || getpid() != owner)
+        return;
+    set_timer(0);
+    signal(SIGPROF, SIG_IGN);
+    dump();
+}
+
+/*
+ * Before an exec: stops the timer, drops a pending SIGPROF (setting
+ * SIG_IGN discards it), hands the new image the disposition the shim
+ * found, and writes the samples. Returns whether sampling must
+ * restart should the exec fail.
+ */
+static int
+exec_begin(void)
+{
+    if (slots == NULL || getpid() != owner)
+        return 0;
+    set_timer(0);
+    signal(SIGPROF, SIG_IGN);
+    sigaction(SIGPROF, &old_action, NULL);
+    dump();
+    return 1;
+}
+
+#define WRAP_EXEC(name, params, args)                                   \
+    int name params                                                     \
+    {                                                                   \
+        static __typeof__(name) *real;                                  \
+        if (real == NULL)                                               \
+            real = (__typeof__(name) *)dlsym(RTLD_NEXT, #name);         \
+        int began = exec_begin();                                       \
+        int r = real args;                                              \
+        int saved = errno;                                              \
+        if (began)                                                      \
+            start_sampling();                                           \
+        errno = saved;                                                  \
+        return r;                                                       \
+    }
+
+WRAP_EXEC(execve, (const char *p, char *const a[], char *const e[]),
+          (p, a, e))
+WRAP_EXEC(execv, (const char *p, char *const a[]), (p, a))
+WRAP_EXEC(execvp, (const char *f, char *const a[]), (f, a))
+WRAP_EXEC(execvpe, (const char *f, char *const a[], char *const e[]),
+          (f, a, e))
