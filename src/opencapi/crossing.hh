@@ -13,6 +13,7 @@
 #ifndef TF_OCAPI_CROSSING_HH
 #define TF_OCAPI_CROSSING_HH
 
+#include <array>
 #include <functional>
 
 #include "mem/transaction.hh"
@@ -44,11 +45,13 @@ class CrossingStage : public sim::SimObject
     /** Accept a transaction; delivers downstream after the delay. */
     void push(mem::TxnPtr txn);
 
+    static constexpr std::uint32_t kFlitBytes = 32;
+
     /** Bytes this stage charges for a transaction (header + payload). */
     static constexpr std::uint32_t
     wireBytes(const mem::MemTxn &txn)
     {
-        return mem::flitCount(txn) * 32;
+        return mem::flitCount(txn) * kFlitBytes;
     }
 
     std::uint64_t itemsForwarded() const { return _items.value(); }
@@ -69,10 +72,19 @@ class CrossingStage : public sim::SimObject
     void setTraceStage(sim::trace::Stage stage) { _traceStage = stage; }
 
   private:
+    /** Serialisation ticks of a @p bytes item (whole flits). */
+    sim::Tick serialisation(std::uint32_t bytes);
+
     CrossingParams _params;
     OutFn _out;
     sim::trace::Stage _traceStage = sim::trace::Stage::None;
     sim::Tick _nextFree = 0;
+    /**
+     * serialisation() by flit count, filled on first use (maxTick
+     * until then): a stage sees a handful of sizes, so the division
+     * and sim::seconds run once per size instead of once per item.
+     */
+    std::array<sim::Tick, 16> _serTicks;
     sim::Counter _items;
     sim::Counter _bytes;
     sim::QuantileSketch _latencyNs;

@@ -50,7 +50,12 @@ class ParallelEngine
     ParallelEngine(const ParallelEngine &) = delete;
     ParallelEngine &operator=(const ParallelEngine &) = delete;
 
-    /** Create the next logical process. Stable id = creation order. */
+    /**
+     * Create the next logical process. Stable id = creation order.
+     * Its trace buffer joins LP 0's flight ring, so the engine keeps
+     * the newest TraceBuffer::kFlightCap sampled events of all its
+     * LPs together; an engine has fewer than 65,536 LPs (TF_ASSERT).
+     */
     LogicalProcess &addLp(std::string name);
 
     /**

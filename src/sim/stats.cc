@@ -46,6 +46,10 @@ void
 SampleStat::add(double x)
 {
     TF_ASSERT(!std::isnan(x), "SampleStat: NaN sample");
+    // -0.0 and +0.0 share a run, which would print the sign of
+    // whichever zero reached it first.
+    if (x == 0.0)
+        x = 0.0;
     _summary.add(x);
     _pending.push_back(x);
     // Merging costs O(runs + pending); waiting for at least `runs`
@@ -329,28 +333,28 @@ void
 StatSet::attach(const std::string &name, Counter &c,
                 const std::string &unit, const std::string &desc)
 {
-    _attached.push_back(Attachment{name, desc, unit, &c, {}});
+    _attached.push_back(Attachment{name, desc, unit, &c, nullptr});
 }
 
 void
 StatSet::attach(const std::string &name, Summary &s,
                 const std::string &unit, const std::string &desc)
 {
-    _attached.push_back(Attachment{name, desc, unit, &s, {}});
+    _attached.push_back(Attachment{name, desc, unit, &s, nullptr});
 }
 
 void
 StatSet::attach(const std::string &name, SampleStat &s,
                 const std::string &unit, const std::string &desc)
 {
-    _attached.push_back(Attachment{name, desc, unit, &s, {}});
+    _attached.push_back(Attachment{name, desc, unit, &s, nullptr});
 }
 
 void
 StatSet::attach(const std::string &name, QuantileSketch &q,
                 const std::string &unit, const std::string &desc)
 {
-    _attached.push_back(Attachment{name, desc, unit, &q, {}});
+    _attached.push_back(Attachment{name, desc, unit, &q, nullptr});
 }
 
 void
@@ -358,14 +362,12 @@ StatSet::resetAll()
 {
     _entries.clear();
     for (auto &a : _attached) {
-        if (a.frozen.index() != 0) {
-            // Frozen copies are snapshots; resetting them would lose
-            // the only data left. Drop the freeze instead so a later
-            // freeze() re-captures post-reset state -- only valid
-            // while the live object is still alive, which is the
-            // warmup/measure case resetAll() exists for.
-            a.frozen = FrozenStat{};
-        }
+        // Frozen copies are snapshots; resetting them would lose the
+        // only data left. Drop the freeze instead so a later freeze()
+        // re-captures post-reset state -- only valid while the live
+        // object is still alive, which is the warmup/measure case
+        // resetAll() exists for.
+        a.frozen.reset();
         std::visit([](auto *stat) { stat->reset(); }, a.live);
     }
 }
@@ -374,9 +376,13 @@ void
 StatSet::freeze()
 {
     for (auto &a : _attached) {
-        if (a.frozen.index() != 0)
+        if (a.frozen)
             continue; // already frozen
-        std::visit([&a](auto *stat) { a.frozen = *stat; }, a.live);
+        std::visit(
+            [&a](auto *stat) {
+                a.frozen = std::make_unique<FrozenStat>(*stat);
+            },
+            a.live);
     }
 }
 
@@ -384,18 +390,10 @@ template <typename Fn>
 void
 StatSet::visitAttachment(const Attachment &a, Fn &&fn) const
 {
-    if (a.frozen.index() != 0) {
-        std::visit(
-            [&](const auto &stat) {
-                if constexpr (!std::is_same_v<
-                                  std::decay_t<decltype(stat)>,
-                                  std::monostate>)
-                    fn(stat);
-            },
-            a.frozen);
-    } else {
+    if (a.frozen)
+        std::visit([&](const auto &stat) { fn(stat); }, *a.frozen);
+    else
         std::visit([&](const auto *stat) { fn(*stat); }, a.live);
-    }
 }
 
 std::vector<StatEntry>

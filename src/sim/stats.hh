@@ -78,13 +78,14 @@ class Summary
  * into strictly ascending (value, cumulative count) runs once it
  * holds max(kFlushFloor, runs) samples, and before any read. The
  * quantiles and CDF rows are those of the sorted sample vector, bit
- * for bit. NaN samples are rejected (TF_ASSERT).
+ * for bit. A -0.0 sample counts as +0.0, so no output depends on
+ * when the buffer merged; NaN samples are rejected (TF_ASSERT).
  */
 class SampleStat
 {
   public:
     /** Fewest buffered samples that trigger a merge into the runs. */
-    static constexpr std::size_t kFlushFloor = 4096;
+    static constexpr std::size_t kFlushFloor = 256;
 
     void add(double x);
     void reset();
@@ -275,8 +276,7 @@ class StatSet
     using LiveStat = std::variant<Counter *, Summary *, SampleStat *,
                                   QuantileSketch *>;
     using FrozenStat =
-        std::variant<std::monostate, Counter, Summary, SampleStat,
-                     QuantileSketch>;
+        std::variant<Counter, Summary, SampleStat, QuantileSketch>;
 
     struct Attachment
     {
@@ -284,7 +284,8 @@ class StatSet
         std::string desc;
         std::string unit;
         LiveStat live;
-        FrozenStat frozen;
+        /** freeze()'s deep copy, held out of line; null until then. */
+        std::unique_ptr<FrozenStat> frozen;
     };
 
     template <typename Fn> void visitAttachment(const Attachment &a,

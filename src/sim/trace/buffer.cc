@@ -2,12 +2,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <set>
 
+#include "sim/logging.hh"
 #include "sim/trace/export.hh"
 
 namespace tf::sim::trace {
@@ -45,6 +47,18 @@ TraceBuffer::~TraceBuffer()
 }
 
 void
+TraceBuffer::shareRing(TraceBuffer &owner)
+{
+    if (!owner._ring)
+        owner._ring = std::make_shared<Ring>();
+    TF_ASSERT(owner._ring->sources < 0xFFFF,
+              "trace: a flight ring holds fewer than 65,536 buffers");
+    clear();
+    _ring = owner._ring;
+    _source = static_cast<std::uint16_t>(_ring->sources++);
+}
+
+void
 TraceBuffer::setFull(bool full)
 {
     _full = full;
@@ -57,8 +71,19 @@ TraceBuffer::clear()
 {
     _events.clear();
     _events.shrink_to_fit();
-    _head = 0;
-    _wrapped = false;
+    if (!_ring)
+        return;
+    // Keep the other buffers' events, oldest first from slot 0.
+    std::vector<SpanEvent> &ring = _ring->events;
+    std::rotate(ring.begin(), ring.begin() + _ring->head, ring.end());
+    _ring->head = 0;
+    ring.erase(std::remove_if(ring.begin(), ring.end(),
+                              [this](const SpanEvent &ev) {
+                                  return ev.source == _source;
+                              }),
+               ring.end());
+    if (ring.empty())
+        ring.shrink_to_fit();
 }
 
 TraceId
@@ -83,34 +108,49 @@ TraceBuffer::append(const SpanEvent &ev)
         _events.push_back(ev);
         return;
     }
-    if (_events.size() < kFlightCap) {
-        _events.push_back(ev);
-        _head = _events.size() % kFlightCap;
+    if (!_ring)
+        _ring = std::make_shared<Ring>();
+    Ring &r = *_ring;
+    if (r.events.size() < kFlightCap) {
+        r.events.push_back(ev);
         return;
     }
-    _events[_head] = ev;
-    _head = (_head + 1) % kFlightCap;
-    if (_head == 0 || _events.size() == kFlightCap)
-        _wrapped = true;
+    r.events[r.head] = ev;
+    r.head = (r.head + 1) % kFlightCap;
+}
+
+template <typename Fn>
+void
+TraceBuffer::forOwnFlight(Fn &&fn) const
+{
+    if (!_ring)
+        return;
+    const std::vector<SpanEvent> &ring = _ring->events;
+    // head is the oldest event of a full ring and 0 before it fills.
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+        const SpanEvent &ev = ring[(_ring->head + i) % ring.size()];
+        if (ev.source == _source)
+            fn(ev);
+    }
 }
 
 std::size_t
 TraceBuffer::size() const
 {
-    return _events.size();
+    if (_full)
+        return _events.size();
+    std::size_t n = 0;
+    forOwnFlight([&n](const SpanEvent &) { ++n; });
+    return n;
 }
 
 std::vector<SpanEvent>
 TraceBuffer::snapshot() const
 {
-    if (_full || _events.size() < kFlightCap)
+    if (_full)
         return _events;
-    // Unroll the ring oldest-first: _head is the next write slot,
-    // hence the oldest retained event.
     std::vector<SpanEvent> out;
-    out.reserve(_events.size());
-    for (std::size_t i = 0; i < _events.size(); ++i)
-        out.push_back(_events[(_head + i) % _events.size()]);
+    forOwnFlight([&out](const SpanEvent &ev) { out.push_back(ev); });
     return out;
 }
 

@@ -7,18 +7,24 @@
  * queue, so recording is lock-free: a plain append into preallocated
  * storage.
  *
- * Two modes share the same storage:
+ * Two modes:
  *
  *  - Flight mode (default): a fixed ring keeps the last kFlightCap
  *    span events, and newTrace() samples one transaction in
  *    kSampleInterval so the steady-state overhead is a branch per
  *    hook plus a handful of ring stores per sampled transaction.
- *    panic() / TF_ASSERT dump every live ring to
- *    tf_flight_<pid>.json in the dump directory before aborting, so
- *    a CI failure always ships the final in-flight microseconds.
+ *    Buffers that run on one thread may share one ring (shareRing();
+ *    every LP of a ParallelEngine records into LP 0's): each event
+ *    carries its buffer's source index, and every read of a buffer
+ *    sees only its own events. The ring then holds the newest
+ *    kFlightCap events of all its buffers together. panic() /
+ *    TF_ASSERT dump every live buffer to tf_flight_<pid>.json in the
+ *    dump directory before aborting, so a CI failure always ships
+ *    the final in-flight microseconds.
  *
  *  - Full mode (--trace): every transaction gets an id and events
- *    append unbounded, for Perfetto export and latency attribution.
+ *    append unbounded to the buffer's own vector, for Perfetto
+ *    export and latency attribution.
  *
  * Trace ids are allocated from a buffer-local counter, never a global
  * one: a process-wide atomic would leak the interleaving of tf_bench's
@@ -30,6 +36,7 @@
 #define TF_SIM_TRACE_BUFFER_HH
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,6 +76,15 @@ class TraceBuffer
     }
 
     /**
+     * Record flight events into @p owner's ring from now on, instead
+     * of into a ring of this buffer's own, under the ring's next
+     * source index; what this buffer recorded so far is dropped.
+     * Both buffers must be written from one thread. A ring holds
+     * fewer than 65,536 buffers (TF_ASSERT).
+     */
+    void shareRing(TraceBuffer &owner);
+
+    /**
      * Switch between full recording (true) and the flight ring
      * (false). Switching clears recorded events and restarts the
      * sampling counter, so a bench's traced phase starts clean.
@@ -76,7 +92,10 @@ class TraceBuffer
     void setFull(bool full);
     bool full() const { return _full; }
 
-    /** Drop recorded events; ids already handed out stay valid. */
+    /**
+     * Drop this buffer's recorded events; ids already handed out
+     * stay valid, and the other events of a shared ring stay.
+     */
     void clear();
 
     /**
@@ -94,7 +113,7 @@ class TraceBuffer
         if (id == noTrace)
             return;
         append(SpanEvent{tick, id, depth, stage,
-                         SpanEvent::Kind::Begin});
+                         SpanEvent::Kind::Begin, _source});
     }
 
     /** Record a span-end edge. No-op when @p id is noTrace. */
@@ -103,25 +122,37 @@ class TraceBuffer
     {
         if (id == noTrace)
             return;
-        append(SpanEvent{tick, id, 0, stage, SpanEvent::Kind::End});
+        append(SpanEvent{tick, id, 0, stage, SpanEvent::Kind::End,
+                         _source});
     }
 
-    /** Events recorded (ring occupancy in flight mode). */
+    /** This buffer's events held (its share of the ring in flight mode). */
     std::size_t size() const;
 
-    /** Recorded events in append order (ring unrolled oldest-first). */
+    /** This buffer's events in append order, oldest first. */
     std::vector<SpanEvent> snapshot() const;
 
   private:
     static constexpr unsigned kIdTagShift = 40;
 
+    /** The flight ring: newest kFlightCap events of its buffers. */
+    struct Ring
+    {
+        std::vector<SpanEvent> events;
+        std::size_t head = 0; ///< oldest event once full, else 0
+        std::size_t sources = 1; ///< buffers recording into it
+    };
+
     void append(const SpanEvent &ev);
+    /** Visit this buffer's ring events oldest first. */
+    template <typename Fn> void forOwnFlight(Fn &&fn) const;
 
     std::string _name;
     bool _full = false;
-    std::vector<SpanEvent> _events;
-    std::size_t _head = 0;    ///< ring write index (flight mode)
-    bool _wrapped = false;    ///< ring has lapped at least once
+    std::uint16_t _source = 0; ///< index in the ring's buffers
+    std::vector<SpanEvent> _events; ///< full mode
+    /** Flight ring; made at the first flight event or shareRing(). */
+    std::shared_ptr<Ring> _ring;
     std::uint64_t _idTag = 0; ///< high bits of every issued id
     std::uint64_t _nextId = 0;
     std::uint64_t _issueCount = 0;

@@ -9,8 +9,8 @@
  * framing, donor crossings, C1 mastering and the way back) is a chain
  * of adjacent spans whose durations tile the observed RTT exactly.
  *
- * Events are fixed-size PODs so the per-LP ring buffer (buffer.hh)
- * can record them on the hot path without allocation.
+ * Events are fixed-size PODs so the flight ring (buffer.hh) can
+ * record them on the hot path without allocation.
  */
 
 #ifndef TF_SIM_TRACE_SPAN_HH
@@ -95,7 +95,12 @@ struct SpanEvent
     std::uint32_t depth = 0; ///< queue depth at stage entry (Begin)
     Stage stage = Stage::None;
     Kind kind = Kind::Begin;
+    /** Recording buffer's index in the flight ring it shares. */
+    std::uint16_t source = 0;
 };
+
+static_assert(sizeof(SpanEvent) == 24,
+              "the source index must fit SpanEvent's padding");
 
 } // namespace tf::sim::trace
 

@@ -5,6 +5,15 @@
 
 namespace tf::topo::json {
 
+std::string
+Position::str() const
+{
+    std::string out = origin ? *origin : std::string();
+    if (line == 0)
+        return out;
+    return out + ":" + std::to_string(line) + ":" + std::to_string(col);
+}
+
 const Value *
 Value::find(const std::string &key) const
 {
@@ -17,7 +26,7 @@ Value::find(const std::string &key) const
 }
 
 Value
-Value::makeNull(std::string where)
+Value::makeNull(Position where)
 {
     Value v;
     v._type = Type::Null;
@@ -26,7 +35,7 @@ Value::makeNull(std::string where)
 }
 
 Value
-Value::makeBool(bool b, std::string where)
+Value::makeBool(bool b, Position where)
 {
     Value v;
     v._type = Type::Bool;
@@ -36,7 +45,7 @@ Value::makeBool(bool b, std::string where)
 }
 
 Value
-Value::makeNumber(double n, std::string where)
+Value::makeNumber(double n, Position where)
 {
     Value v;
     v._type = Type::Number;
@@ -46,7 +55,7 @@ Value::makeNumber(double n, std::string where)
 }
 
 Value
-Value::makeString(std::string s, std::string where)
+Value::makeString(std::string s, Position where)
 {
     Value v;
     v._type = Type::String;
@@ -56,7 +65,7 @@ Value::makeString(std::string s, std::string where)
 }
 
 Value
-Value::makeArray(std::vector<Value> items, std::string where)
+Value::makeArray(std::vector<Value> items, Position where)
 {
     Value v;
     v._type = Type::Array;
@@ -66,7 +75,7 @@ Value::makeArray(std::vector<Value> items, std::string where)
 }
 
 Value
-Value::makeObject(Members members, std::string where)
+Value::makeObject(Members members, Position where)
 {
     Value v;
     v._type = Type::Object;
@@ -81,7 +90,7 @@ class Parser
 {
   public:
     Parser(const std::string &text, const std::string &origin)
-        : _text(text), _origin(origin)
+        : _text(text), _origin(std::make_shared<const std::string>(origin))
     {
     }
 
@@ -97,21 +106,18 @@ class Parser
 
   private:
     const std::string &_text;
-    const std::string &_origin;
+    const std::shared_ptr<const std::string> _origin;
     std::size_t _pos = 0;
-    std::size_t _line = 1;
-    std::size_t _col = 1;
+    std::uint32_t _line = 1;
+    std::uint32_t _col = 1;
 
     [[noreturn]] void fail(const std::string &msg) const
     {
-        throw SpecError(where() + ": " + msg);
+        throw SpecError(here().str() + ": " + msg);
     }
 
-    std::string where() const
-    {
-        return _origin + ":" + std::to_string(_line) + ":" +
-               std::to_string(_col);
-    }
+    /** The position of the next character. */
+    Position here() const { return Position{_origin, _line, _col}; }
 
     bool atEnd() const { return _pos >= _text.size(); }
 
@@ -166,8 +172,11 @@ class Parser
             return object();
           case '[':
             return array();
-          case '"':
-            return Value::makeString(string(), where());
+          case '"': {
+            // string() reads past the closing quote: take it first.
+            Position at = here();
+            return Value::makeString(string(), std::move(at));
+          }
           case 't':
           case 'f':
             return boolean();
@@ -180,13 +189,13 @@ class Parser
 
     Value object()
     {
-        std::string loc = where();
+        Position loc = here();
         expect('{');
         Members members;
         skipWs();
         if (!atEnd() && peek() == '}') {
             advance();
-            return Value::makeObject(std::move(members), loc);
+            return Value::makeObject(std::move(members), std::move(loc));
         }
         while (true) {
             skipWs();
@@ -206,19 +215,19 @@ class Parser
                 continue;
             }
             expect('}');
-            return Value::makeObject(std::move(members), loc);
+            return Value::makeObject(std::move(members), std::move(loc));
         }
     }
 
     Value array()
     {
-        std::string loc = where();
+        Position loc = here();
         expect('[');
         std::vector<Value> items;
         skipWs();
         if (!atEnd() && peek() == ']') {
             advance();
-            return Value::makeArray(std::move(items), loc);
+            return Value::makeArray(std::move(items), std::move(loc));
         }
         while (true) {
             skipWs();
@@ -229,7 +238,7 @@ class Parser
                 continue;
             }
             expect(']');
-            return Value::makeArray(std::move(items), loc);
+            return Value::makeArray(std::move(items), std::move(loc));
         }
     }
 
@@ -266,33 +275,33 @@ class Parser
 
     Value boolean()
     {
-        std::string loc = where();
+        Position loc = here();
         if (_text.compare(_pos, 4, "true") == 0) {
             for (int i = 0; i < 4; ++i)
                 advance();
-            return Value::makeBool(true, loc);
+            return Value::makeBool(true, std::move(loc));
         }
         if (_text.compare(_pos, 5, "false") == 0) {
             for (int i = 0; i < 5; ++i)
                 advance();
-            return Value::makeBool(false, loc);
+            return Value::makeBool(false, std::move(loc));
         }
         fail("expected 'true' or 'false'");
     }
 
     Value null()
     {
-        std::string loc = where();
+        Position loc = here();
         if (_text.compare(_pos, 4, "null") != 0)
             fail("expected 'null'");
         for (int i = 0; i < 4; ++i)
             advance();
-        return Value::makeNull(loc);
+        return Value::makeNull(std::move(loc));
     }
 
     Value number()
     {
-        std::string loc = where();
+        Position loc = here();
         std::size_t start = _pos;
         if (!atEnd() && (peek() == '-' || peek() == '+'))
             advance();
@@ -316,7 +325,7 @@ class Parser
         double n = std::strtod(lexeme.c_str(), &end);
         if (end == nullptr || *end != '\0')
             fail("malformed number \"" + lexeme + "\"");
-        return Value::makeNumber(n, loc);
+        return Value::makeNumber(n, std::move(loc));
     }
 };
 

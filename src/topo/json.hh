@@ -42,6 +42,21 @@ class Value;
 /** Object members in file order (duplicate keys rejected at parse). */
 using Members = std::vector<std::pair<std::string, Value>>;
 
+/**
+ * Where a value starts in its source. Every value of one document
+ * shares one origin string; the "file:line:col" text is built only
+ * when an error message needs it.
+ */
+struct Position
+{
+    std::shared_ptr<const std::string> origin;
+    std::uint32_t line = 0; ///< 1-based; 0 names the origin alone
+    std::uint32_t col = 0;  ///< 1-based
+
+    /** "file:line:col", or the origin alone when line is 0. */
+    std::string str() const;
+};
+
 class Value
 {
   public:
@@ -67,14 +82,14 @@ class Value
     const Value *find(const std::string &key) const;
 
     /** "file:line:col", for error messages about this value. */
-    const std::string &where() const { return _where; }
+    std::string where() const { return _where.str(); }
 
-    static Value makeNull(std::string where);
-    static Value makeBool(bool b, std::string where);
-    static Value makeNumber(double n, std::string where);
-    static Value makeString(std::string s, std::string where);
-    static Value makeArray(std::vector<Value> items, std::string where);
-    static Value makeObject(Members members, std::string where);
+    static Value makeNull(Position where);
+    static Value makeBool(bool b, Position where);
+    static Value makeNumber(double n, Position where);
+    static Value makeString(std::string s, Position where);
+    static Value makeArray(std::vector<Value> items, Position where);
+    static Value makeObject(Members members, Position where);
 
   private:
     Type _type = Type::Null;
@@ -83,7 +98,7 @@ class Value
     std::string _string;
     std::shared_ptr<std::vector<Value>> _items;
     std::shared_ptr<Members> _members;
-    std::string _where;
+    Position _where;
 };
 
 /**

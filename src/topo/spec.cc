@@ -160,8 +160,8 @@ checkIdent(const Value &v, const std::string &name,
 const Value &
 arrayOf(const Value &root, const std::string &key, bool required)
 {
-    static const Value empty =
-        Value::makeArray({}, std::string("<builtin>"));
+    static const Value empty = Value::makeArray(
+        {}, {std::make_shared<const std::string>("<builtin>")});
     const Value *v = root.find(key);
     if (v == nullptr) {
         if (required)

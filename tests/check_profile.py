@@ -8,12 +8,16 @@ frame-pointer walk works). A second run has the program exec itself
 without the preload once its loops are done: the samples taken
 before the exec must still be reported, and the new image, which has
 no SIGPROF handler, must not be killed by the sampler's timer. A
-hand-written dump checks that dropped samples are reported. Exits
-77, which ctest reports as skipped, when cc or addr2line is missing.
+hand-written dump checks that dropped samples are reported. A third
+run reports into a pipe whose reader has gone, as `| head` leaves
+it: the tool must exit with the command's status and write nothing
+to stderr. Exits 77, which ctest reports as skipped, when cc or
+addr2line is missing.
 """
 
 import importlib.util
 import io
+import os
 import re
 import shutil
 import subprocess
@@ -74,6 +78,28 @@ def reports_dropped(work):
     return True
 
 
+def survives_closed_pipe(exe):
+    """The report meets a closed pipe: the command's status, no traceback."""
+    # The loop execs sh, which exits 3: a status the tool never uses.
+    cmd = [str(exe), "/bin/sh", "-c", "exit 3"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as stdout:
+        run = subprocess.run(
+            [sys.executable, str(ROOT / "tools/profile.py"), "--top",
+             "2000", "--"] + cmd, stdout=stdout, stderr=subprocess.PIPE,
+            text=True)
+    print("$", " ".join(cmd), "(stdout closed)")
+    ok = True
+    if run.returncode != 3:
+        print(f"FAIL: exit status {run.returncode}, not the command's 3")
+        ok = False
+    if run.stderr:
+        print(f"FAIL: stderr is not empty:\n{run.stderr}")
+        ok = False
+    return ok
+
+
 def main():
     if shutil.which("cc") is None or shutil.which("addr2line") is None:
         print("cc or addr2line missing: skipped")
@@ -96,6 +122,7 @@ def main():
                 print(f"FAIL: exit status {run.returncode}\n{run.stderr}")
                 ok = False
             ok = ranks_hot_loop(run.stdout) and ok
+        ok = survives_closed_pipe(exe) and ok
         ok = reports_dropped(work) and ok
     return 0 if ok else 1
 

@@ -114,6 +114,50 @@ TEST(Crossing, PipelinedSerialisation)
     EXPECT_EQ(arrivals[3], sim::nanoseconds(120));
 }
 
+TEST(Crossing, SerialisationOfEverySizeMatchesTheFormula)
+{
+    // Interleaved sizes, some pushed while the stage is busy: each
+    // delivery tick is the one the formula gives its wire bytes, also
+    // for a size past the stage's per-size table (129 flits).
+    sim::EventQueue eq;
+    const double bw = 21.3e9;
+    const sim::Tick lat = sim::nanoseconds(40);
+    CrossingStage stage("s", eq, {lat, bw});
+    std::vector<sim::Tick> arrivals;
+    stage.connect([&](TxnPtr) { arrivals.push_back(eq.now()); });
+
+    struct Item
+    {
+        TxnType type;
+        std::uint32_t size;
+        std::uint32_t flits;
+    };
+    const Item items[] = {{TxnType::ReadReq, 128, 1},
+                          {TxnType::WriteReq, 128, 5},
+                          {TxnType::ReadResp, 256, 9},
+                          {TxnType::ReadResp, 4096, 129}};
+    const std::size_t order[] = {0, 1, 2, 1, 0, 2, 2, 1,
+                                 3, 0, 1, 2, 0, 0, 2, 1};
+    std::vector<sim::Tick> want;
+    sim::Tick nextFree = 0;
+    for (std::size_t k = 0; k < 80; ++k) {
+        const Item &it = items[order[k % 16]];
+        sim::Tick at = sim::nanoseconds(3) * k;
+        double bytes = static_cast<double>(it.flits * 32);
+        sim::Tick ser = sim::seconds(bytes / bw);
+        sim::Tick start = std::max(at, nextFree);
+        nextFree = start + ser;
+        want.push_back(start + ser + lat);
+        eq.schedule(at, [&stage, it] {
+            TxnPtr txn = mem::makeTxn(it.type, 0, it.size);
+            ASSERT_EQ(mem::flitCount(*txn), it.flits);
+            stage.push(std::move(txn));
+        });
+    }
+    eq.run();
+    EXPECT_EQ(arrivals, want);
+}
+
 namespace {
 
 struct C1Fixture : ::testing::Test

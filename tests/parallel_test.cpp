@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -215,6 +216,171 @@ TEST(ParallelEngine, TeardownWithInFlightMessages)
         // Destroyed with a pending event still in b's queue.
     }
     EXPECT_EQ(payload.use_count(), 1);
+}
+
+namespace {
+
+namespace trace = sim::trace;
+
+/** One recorded span edge and the LP that recorded it. */
+struct Recorded
+{
+    std::size_t lp;
+    trace::SpanEvent ev;
+};
+
+bool
+sameEdge(const trace::SpanEvent &a, const trace::SpanEvent &b)
+{
+    return a.tick == b.tick && a.id == b.id && a.stage == b.stage &&
+           a.kind == b.kind;
+}
+
+/**
+ * Four LPs in a ring of 1 us channels. LP i issues one transaction
+ * every period[i] ns until until[i] ns, in flight mode; each sampled
+ * one records a begin and an end edge, and the rig logs every edge in
+ * recording order.
+ */
+struct FlightRig
+{
+    static constexpr std::size_t kLps = 4;
+    ParallelEngine engine;
+    std::vector<Recorded> log;
+
+    FlightRig(const std::array<Tick, kLps> &period,
+              const std::array<Tick, kLps> &until)
+    {
+        for (std::size_t i = 0; i < kLps; ++i)
+            engine.addLp("lp" + std::to_string(i))
+                .queue()
+                .trace()
+                .setIdTag(static_cast<std::uint32_t>(i + 1));
+        for (std::size_t i = 0; i < kLps; ++i)
+            engine.connect(engine.lp(i), engine.lp((i + 1) % kLps),
+                           sim::nanoseconds(1000));
+        for (std::size_t i = 0; i < kLps; ++i)
+            issue(i, sim::nanoseconds(period[i]),
+                  sim::nanoseconds(until[i]));
+    }
+
+    void
+    issue(std::size_t i, Tick period, Tick until)
+    {
+        sim::EventQueue &eq = engine.lp(i).queue();
+        if (eq.now() + period > until)
+            return;
+        eq.scheduleIn(period, [this, i, period, until, &eq] {
+            trace::TraceBuffer &tb = eq.trace();
+            trace::TraceId id = tb.newTrace();
+            if (id != trace::noTrace) {
+                tb.begin(eq.now(), id, trace::Stage::C1);
+                tb.end(eq.now() + 10, id, trace::Stage::C1);
+                log.push_back({i, {eq.now(), id, 0, trace::Stage::C1,
+                                   trace::SpanEvent::Kind::Begin}});
+                log.push_back({i, {eq.now() + 10, id, 0,
+                                   trace::Stage::C1,
+                                   trace::SpanEvent::Kind::End}});
+            }
+            issue(i, period, until);
+        });
+    }
+
+    /** LP @p i's edges among the newest @p keep of the engine. */
+    std::vector<trace::SpanEvent>
+    newest(std::size_t i, std::size_t keep) const
+    {
+        std::vector<trace::SpanEvent> out;
+        std::size_t from = log.size() > keep ? log.size() - keep : 0;
+        for (std::size_t k = from; k < log.size(); ++k)
+            if (log[k].lp == i)
+                out.push_back(log[k].ev);
+        return out;
+    }
+};
+
+void
+expectEdges(const std::vector<trace::SpanEvent> &got,
+            const std::vector<trace::SpanEvent> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < got.size(); ++k)
+        ASSERT_TRUE(sameEdge(got[k], want[k])) << "edge " << k;
+}
+
+} // namespace
+
+TEST(EngineFlightRing, LpsShareTheNewestEvents)
+{
+    // Three busy LPs sample ~2,300 transactions (4,600 edges) in
+    // 1 ms; the quiet LP 3 samples one at 1 us and then falls silent.
+    const std::size_t cap = trace::TraceBuffer::kFlightCap;
+    FlightRig rig({20, 20, 20, 1000}, {1'000'000, 1'000'000, 1'000'000,
+                                       10'000});
+    rig.engine.run();
+    ASSERT_GT(rig.log.size(), cap);
+
+    std::size_t held = 0;
+    for (std::size_t i = 0; i < FlightRig::kLps; ++i) {
+        SCOPED_TRACE(i);
+        const trace::TraceBuffer &tb = rig.engine.lp(i).queue().trace();
+        held += tb.size();
+        // Only its own events, oldest first: those of the engine's
+        // newest kFlightCap.
+        expectEdges(tb.snapshot(), rig.newest(i, cap));
+    }
+    EXPECT_EQ(held, cap);
+    // The quiet LP's early events are gone; the engine's last
+    // edge survives.
+    EXPECT_EQ(rig.engine.lp(3).queue().trace().size(), 0u);
+    const Recorded &last = rig.log.back();
+    std::vector<trace::SpanEvent> own =
+        rig.engine.lp(last.lp).queue().trace().snapshot();
+    ASSERT_FALSE(own.empty());
+    EXPECT_TRUE(sameEdge(own.back(), last.ev));
+}
+
+TEST(EngineFlightRing, FullModeOnOneLpLeavesTheOthersAlone)
+{
+    const std::size_t cap = trace::TraceBuffer::kFlightCap;
+    FlightRig rig({10, 20, 30, 40},
+                  {1'000'000, 1'000'000, 1'000'000, 1'000'000});
+    rig.engine.run();
+
+    trace::TraceBuffer &full = rig.engine.lp(1).queue().trace();
+    ASSERT_GT(full.size(), 0u);
+    full.setFull(true);
+    EXPECT_EQ(full.size(), 0u);
+    full.begin(5, full.newTrace(), trace::Stage::Rmmu);
+    full.end(6, full.newTrace(), trace::Stage::Rmmu);
+    EXPECT_EQ(full.size(), 2u);
+
+    std::size_t held = 0;
+    for (std::size_t i : {0u, 2u, 3u}) {
+        SCOPED_TRACE(i);
+        const trace::TraceBuffer &tb = rig.engine.lp(i).queue().trace();
+        held += tb.size();
+        expectEdges(tb.snapshot(), rig.newest(i, cap));
+    }
+    EXPECT_EQ(held, cap - rig.newest(1, cap).size());
+
+    // Back in flight mode, LP 1 records into the shared ring again.
+    full.setFull(false);
+    EXPECT_EQ(full.size(), 0u);
+    full.begin(7, 9, trace::Stage::C1);
+    ASSERT_EQ(full.snapshot().size(), 1u);
+    EXPECT_EQ(full.snapshot()[0].tick, 7u);
+    EXPECT_EQ(rig.engine.lp(0).queue().trace().size() + full.size() +
+                  rig.engine.lp(2).queue().trace().size() +
+                  rig.engine.lp(3).queue().trace().size(),
+              held + 1);
+
+    // A queue outside any engine keeps a ring of its own.
+    sim::EventQueue lone;
+    for (std::size_t i = 0; i < cap + 100; ++i)
+        lone.trace().begin(i, 1, trace::Stage::C1);
+    EXPECT_EQ(lone.trace().size(), cap);
+    EXPECT_EQ(lone.trace().snapshot().front().tick, 100u);
 }
 
 TEST(ParallelNet, PartitionedLinkDeliversAtSerialTick)

@@ -314,13 +314,18 @@ namespace {
 
 /**
  * The reference: every sample kept in a vector, sorted on read, with
- * the type-7 quantile read straight from it.
+ * the type-7 quantile read straight from it. Like SampleStat, it
+ * counts a -0.0 sample as +0.0: the sort leaves equal zeros in an
+ * unspecified order, so the sign printed at a zero rank would be
+ * arbitrary.
  */
 class SortedSamples
 {
   public:
     void add(double x)
     {
+        if (x == 0.0)
+            x = 0.0;
         _v.push_back(x);
         _sorted = false;
         _summary.add(x);
@@ -457,6 +462,35 @@ TEST(SampleStatDiff, NegativeAndZeroValues)
     expectSame(s, ref);
 }
 
+TEST(SampleStatDiff, SignedZerosPrintAlikeWheneverRead)
+{
+    // -0.0 == 0.0, so one run holds both zeros. The stream opens with
+    // -0.0; its CDF text must not depend on when the buffer merged.
+    Rng rng(19);
+    std::vector<double> stream{-0.0};
+    for (int i = 0; i < 20000; ++i) {
+        std::uint64_t kind = rng.below(3);
+        stream.push_back(kind == 0   ? -0.0
+                         : kind == 1 ? 0.0
+                                     : rng.uniform(-1.0, 1.0));
+    }
+    std::string first;
+    for (std::size_t readEvery : {1, 7, 300, 5000, 0}) {
+        SampleStat s;
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+            s.add(stream[i]);
+            if (readEvery != 0 && (i + 1) % readEvery == 0)
+                (void)s.quantile(0.5);
+        }
+        std::string cdf = cdfOf(s, 200);
+        SCOPED_TRACE(readEvery);
+        EXPECT_EQ(cdf.find("-0 "), std::string::npos) << cdf;
+        if (first.empty())
+            first = cdf;
+        EXPECT_EQ(cdf, first);
+    }
+}
+
 TEST(SampleStatDiff, InterleavedReadsCrossFlushBoundaries)
 {
     // Reads merge a part-filled buffer; the chunk sizes land adds on
@@ -578,6 +612,50 @@ TEST(SampleStatFootprint, GrowsWithDistinctValuesNotSamples)
     EXPECT_LT(heapInUse(), before + 256 * 1024);
     EXPECT_EQ(s.quantile(1.0), 999.0);
     EXPECT_LT(heapInUse(), before + 256 * 1024);
+}
+
+TEST(SampleStatFootprint, AddBufferSizedByRuns)
+{
+    std::size_t seen = 0;
+    if (!heapIsAccounted(seen))
+        GTEST_SKIP() << "no heap accounting: saw " << seen << " B";
+
+    // 30 distinct values merge every kFlushFloor samples: a 256-double
+    // buffer (2 KiB) per stat. A floor of 4,096 made it 32 KiB, 1.5 MiB
+    // over 48 stats.
+    std::size_t before = heapInUse();
+    std::vector<SampleStat> stats(48);
+    Rng rng(20);
+    for (SampleStat &s : stats)
+        for (int i = 0; i < 20000; ++i)
+            s.add(static_cast<double>(rng.below(30)));
+    EXPECT_LT(heapInUse(), before + 256 * 1024);
+    EXPECT_EQ(stats.back().quantile(1.0), 29.0);
+}
+
+TEST(StatSetFootprint, FrozenCopiesHeldOutOfLine)
+{
+    std::size_t seen = 0;
+    if (!heapIsAccounted(seen))
+        GTEST_SKIP() << "no heap accounting: saw " << seen << " B";
+
+    // An attachment holds a pointer to its frozen copy, not the copy's
+    // 104 B slot, until freeze() fills it.
+    std::vector<Counter> counters(1000);
+    std::size_t before = heapInUse();
+    StatSet set("unit");
+    for (std::size_t i = 0; i < counters.size(); ++i)
+        set.attach("c" + std::to_string(i), counters[i]);
+    EXPECT_LT(heapInUse(), before + 160 * 1024);
+    EXPECT_EQ(set.attachedCount(), 1000u);
+
+    counters[7].inc(3);
+    set.freeze();
+    counters[7].inc(5); // the frozen copy keeps the value at freeze()
+    std::map<std::string, double> rows;
+    for (const StatEntry &e : set.snapshot())
+        rows[e.name] = e.value;
+    EXPECT_EQ(rows.at("c7"), 3.0);
 }
 
 TEST(QuantileSketchFootprint, GrowsWithOccupiedRangeNotLayout)

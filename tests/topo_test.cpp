@@ -19,6 +19,7 @@
 #include "net/switch.hh"
 #include "sim/rng.hh"
 #include "topo/builder.hh"
+#include "topo/json.hh"
 #include "topo/spec.hh"
 
 using namespace tf;
@@ -137,6 +138,19 @@ TEST(TopoJsonT, NullValueRejectedWithItsPosition)
     err = expectError("{\n  \"name\": nul}");
     EXPECT_NE(err.find("test.json:2:11"), std::string::npos) << err;
     EXPECT_NE(err.find("expected 'null'"), std::string::npos) << err;
+}
+
+TEST(TopoJsonT, StringValueStartsAtItsOpeningQuote)
+{
+    // The position is taken before the string is read, whatever order
+    // the compiler evaluates a call's arguments in.
+    topo::json::Value doc = topo::json::parse(
+        "{\n  \"name\": \"abc\",\n  \"n\": [\"x\", 1]}", "test.json");
+    EXPECT_EQ(doc.where(), "test.json:1:1");
+    EXPECT_EQ(doc.find("name")->where(), "test.json:2:11");
+    ASSERT_EQ(doc.find("n")->items().size(), 2u);
+    EXPECT_EQ(doc.find("n")->items()[0].where(), "test.json:3:9");
+    EXPECT_EQ(doc.find("n")->items()[1].where(), "test.json:3:14");
 }
 
 TEST(TopoJsonT, LineCommentsAllowed)
@@ -343,6 +357,15 @@ TEST(TopoSpecT, TypoedKeyRejected)
     })");
     EXPECT_NE(err.find("unknown key \"chanels\""), std::string::npos)
         << err;
+}
+
+TEST(TopoSpecT, UnknownKeyWithAStringValueNamesItsOpeningQuote)
+{
+    expectErrorAt(R"({
+  "name": "x",
+  "nodes": [{"name": "h0", "role": "host", "rol": @}]
+})",
+                  "\"host\"", "unknown key \"rol\"");
 }
 
 TEST(TopoSpecT, RadixOverflowRejected)

@@ -13,8 +13,10 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/trace/export.hh"
@@ -75,6 +77,21 @@ TEST(TraceBufferT, IdTagDisambiguatesBuffers)
     b.setFull(true);
     b.setIdTag(1);
     EXPECT_NE(a.newTrace(), b.newTrace());
+}
+
+TEST(TraceBufferDeathTest, RingHoldsFewerThan65536Buffers)
+{
+    // A shared ring tells its buffers' events apart by a 16-bit source
+    // index: 65,535 buffers fit, one more is a panic.
+    ::testing::FLAGS_gtest_death_test_style = "fast";
+    trace::TraceBuffer owner;
+    std::vector<std::unique_ptr<trace::TraceBuffer>> members(0xFFFE);
+    for (auto &m : members) {
+        m = std::make_unique<trace::TraceBuffer>();
+        m->shareRing(owner);
+    }
+    trace::TraceBuffer extra;
+    EXPECT_DEATH(extra.shareRing(owner), "fewer than 65,536 buffers");
 }
 
 TEST(TraceBufferT, NoTraceHooksAreNoOps)

@@ -10,7 +10,9 @@ chain; at exit this tool symbolizes them with `addr2line -f -C` and
 prints, per function, its self share (samples whose PC is in it) and
 inclusive share (samples with it anywhere on the stack), with the
 sample count. Threads, child processes and images the command execs
-are all counted, as long as they keep the environment.
+are all counted, as long as they keep the environment. The tool exits
+with the command's status, also when the report's reader has gone
+(`| head`).
 
 Unlike gprof, nothing is instrumented, so small hot functions are not
 inflated by mcount calls. Self shares need no special build; inclusive
@@ -225,7 +227,13 @@ def main():
         status = subprocess.run(cmd, env=env, check=False).returncode
         dumps = [parse_dump(p)
                  for p in sorted(Path(work).glob("samples.*"))]
-    report(dumps, args.top, sys.stdout)
+    try:
+        report(dumps, args.top, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (`| head`). Point stdout at /dev/null so
+        # the interpreter's own flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 
