@@ -1040,7 +1040,6 @@ runParallelScale(ScenarioContext &ctx)
             auto &tb = engine.lp(i).queue().trace();
             tb.setFull(true);
             tb.setIdTag(static_cast<std::uint32_t>(i) + 1);
-            tb.setName("rack" + std::to_string(i));
         }
     }
     auto start = std::chrono::steady_clock::now();

@@ -19,7 +19,6 @@ runTopoScenario(ScenarioContext &ctx, const topo::Spec &spec)
             auto &tb = inst.lp(i).queue().trace();
             tb.setFull(true);
             tb.setIdTag(static_cast<std::uint32_t>(i + 1));
-            tb.setName(inst.lp(i).name());
         }
     }
 

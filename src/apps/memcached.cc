@@ -19,7 +19,8 @@ MemcachedServer::MemcachedServer(std::string name,
       _path(node),
       _workers(name + ".workers",
                testbed.serverA().dram().eventQueue(), params.workers),
-      _rng(params.seed ^ 0x5eed)
+      _rng(params.seed ^ 0x5eed),
+      _unusedSlots(static_cast<std::uint32_t>(params.cacheItems))
 {
     _slabBase =
         _space.mmap(params.cacheItems *
@@ -28,10 +29,6 @@ MemcachedServer::MemcachedServer(std::string name,
     // Hash index: one bucket array + chain nodes; modelled as a
     // region the chain walk touches.
     _indexBase = _space.mmap(params.cacheItems * 64);
-    _freeSlots.reserve(params.cacheItems);
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(params.cacheItems); ++i)
-        _freeSlots.push_back(i);
 }
 
 std::vector<mem::Addr>
@@ -73,9 +70,8 @@ MemcachedServer::insert(std::uint64_t key, std::uint32_t bytes)
         return it->second->slot;
     }
     std::uint32_t slot;
-    if (!_freeSlots.empty()) {
-        slot = _freeSlots.back();
-        _freeSlots.pop_back();
+    if (_unusedSlots > 0) {
+        slot = --_unusedSlots;
     } else {
         // Evict the LRU item and reuse its slot.
         Item victim = _lru.back();

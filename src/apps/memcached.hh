@@ -125,7 +125,8 @@ class MemcachedServer
     mem::Addr _bufferBase = 0;
     std::list<Item> _lru; // front = most recent
     std::unordered_map<std::uint64_t, std::list<Item>::iterator> _map;
-    std::vector<std::uint32_t> _freeSlots;
+    /** Slots never handed out: [0, _unusedSlots), highest first. */
+    std::uint32_t _unusedSlots;
     sim::Counter _hits;
     sim::Counter _misses;
 

@@ -13,10 +13,13 @@ ParallelEngine::addLp(std::string name)
     _lps.push_back(
         std::make_unique<LogicalProcess>(id, std::move(name)));
     _inbound.emplace_back();
+    // Dumps (flight recorder, SLO breach) label the buffer's node.
+    trace::TraceBuffer &tb = _lps.back()->queue().trace();
+    tb.setName(_lps.back()->name());
     // Every LP runs on this thread, so all record into LP 0's flight
     // ring (which asserts fewer than 65,536 LPs).
     if (id > 0)
-        _lps.back()->queue().trace().shareRing(_lps[0]->queue().trace());
+        tb.shareRing(_lps[0]->queue().trace());
     return *_lps.back();
 }
 

@@ -52,18 +52,44 @@ SampleStat::add(double x)
         x = 0.0;
     _summary.add(x);
     _pending.push_back(x);
-    // Merging costs O(runs + pending); waiting for at least `runs`
-    // samples keeps add() amortised O(log pending).
-    if (_pending.size() >= std::max(kFlushFloor, _runs.size()))
+    // Merging costs a pass over the runs; waiting for a quarter of
+    // them keeps add() amortised O(log pending) and the buffer small.
+    if (_pending.size() >= std::max(kFlushFloor, _runs.size() / 4))
         flush();
 }
 
 void
 SampleStat::reset()
 {
-    _runs.clear();
+    _runs = RunStore{};
     _pending.clear();
     _summary.reset();
+}
+
+SampleStat::RunStore::RunStore(const RunStore &other) : _size(other._size)
+{
+    _chunks.reserve(other._chunks.size());
+    for (std::size_t c = 0; c < other._chunks.size(); ++c) {
+        _chunks.push_back(std::make_unique_for_overwrite<Run[]>(kChunkRuns));
+        std::size_t used = std::min(kChunkRuns, _size - c * kChunkRuns);
+        std::copy_n(other._chunks[c].get(), used, _chunks[c].get());
+    }
+}
+
+SampleStat::RunStore &
+SampleStat::RunStore::operator=(const RunStore &other)
+{
+    if (this != &other)
+        *this = RunStore(other);
+    return *this;
+}
+
+void
+SampleStat::RunStore::grow(std::size_t n)
+{
+    while (_chunks.size() * kChunkRuns < n)
+        _chunks.push_back(std::make_unique_for_overwrite<Run[]>(kChunkRuns));
+    _size = n;
 }
 
 void
@@ -73,51 +99,60 @@ SampleStat::flush() const
         return;
     std::sort(_pending.begin(), _pending.end());
 
-    // Size the merged list exactly: the runs plus the buffered values
-    // none of them holds yet.
-    std::size_t size = _runs.size();
+    // The buffered values no run holds yet: the store grows by these.
+    std::size_t old = _runs.size();
+    std::size_t fresh = 0;
     for (std::size_t i = 0, j = 0; j < _pending.size(); ++j) {
         double v = _pending[j];
         if (j > 0 && v == _pending[j - 1])
             continue;
-        while (i < _runs.size() && _runs[i].value < v)
+        while (i < old && _runs[i].value < v)
             ++i;
-        if (i == _runs.size() || _runs[i].value != v)
-            ++size;
+        if (i == old || _runs[i].value != v)
+            ++fresh;
     }
+    _runs.grow(old + fresh);
 
-    std::vector<Run> merged;
-    merged.reserve(size);
-    std::uint64_t total = 0;
-    auto emit = [&merged, &total](double v, std::uint64_t n) {
-        total += n;
-        if (!merged.empty() && merged.back().value == v)
-            merged.back().end = total;
-        else
-            merged.push_back(Run{v, total});
-    };
-    std::size_t i = 0;
-    std::uint64_t prevEnd = 0;
-    auto emitRun = [&] {
-        emit(_runs[i].value, _runs[i].end - prevEnd);
-        prevEnd = _runs[i++].end;
-    };
-    for (double v : _pending) {
-        while (i < _runs.size() && _runs[i].value <= v)
-            emitRun();
-        emit(v, 1);
+    // Merge from the back: each merged run lands at the new end, at or
+    // above the next unread run (the gap is the fresh values still to
+    // place), so no unread run is overwritten. A run's new end is its
+    // old one plus the buffered samples at or below its value; the
+    // runs below the smallest buffered value keep theirs.
+    std::size_t r = old;         // one past the next unread run
+    std::size_t w = old + fresh; // one past the next merged run
+    std::size_t j = _pending.size();
+    while (j > 0) {
+        double v = _pending[j - 1];
+        while (r > 0 && _runs[r - 1].value > v) {
+            --r;
+            _runs[--w] = Run{_runs[r].value, _runs[r].end + j};
+        }
+        std::uint64_t end = j;
+        while (j > 0 && _pending[j - 1] == v)
+            --j;
+        if (r > 0 && _runs[r - 1].value == v)
+            end += _runs[--r].end;
+        else if (r > 0)
+            end += _runs[r - 1].end;
+        _runs[--w] = Run{v, end};
     }
-    while (i < _runs.size())
-        emitRun();
-    _runs = std::move(merged);
     _pending.clear();
 }
 
 double
 SampleStat::atRank(std::uint64_t rank) const
 {
-    auto byEnd = [](std::uint64_t r, const Run &x) { return r < x.end; };
-    return std::upper_bound(_runs.begin(), _runs.end(), rank, byEnd)->value;
+    // The first run whose end passes rank.
+    std::size_t lo = 0;
+    std::size_t hi = _runs.size();
+    while (lo < hi) {
+        std::size_t mid = lo + (hi - lo) / 2;
+        if (rank < _runs[mid].end)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return _runs[lo].value;
 }
 
 double
@@ -143,7 +178,8 @@ SampleStat::samples() const
     std::vector<double> out;
     out.reserve(_runs.empty() ? 0 : _runs.back().end);
     std::uint64_t prevEnd = 0;
-    for (const Run &r : _runs) {
+    for (std::size_t i = 0; i < _runs.size(); ++i) {
+        const Run &r = _runs[i];
         out.insert(out.end(), r.end - prevEnd, r.value);
         prevEnd = r.end;
     }

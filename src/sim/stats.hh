@@ -76,16 +76,21 @@ class Summary
  * Memory grows with the number of distinct values, not of samples:
  * samples land in a small unsorted buffer that is sorted and merged
  * into strictly ascending (value, cumulative count) runs once it
- * holds max(kFlushFloor, runs) samples, and before any read. The
- * quantiles and CDF rows are those of the sorted sample vector, bit
- * for bit. A -0.0 sample counts as +0.0, so no output depends on
- * when the buffer merged; NaN samples are rejected (TF_ASSERT).
+ * holds max(kFlushFloor, runs / 4) samples, and before any read. The
+ * runs sit in fixed chunks of kChunkRuns that never move, and a merge
+ * rewrites them in place from back to front, so no merge or growth
+ * copies them. The quantiles and CDF rows are those of the sorted
+ * sample vector, bit for bit. A -0.0 sample counts as +0.0, so no
+ * output depends on when the buffer merged; NaN samples are rejected
+ * (TF_ASSERT).
  */
 class SampleStat
 {
   public:
     /** Fewest buffered samples that trigger a merge into the runs. */
     static constexpr std::size_t kFlushFloor = 256;
+    /** Runs per chunk of the run store (16 B each: 512 B a chunk). */
+    static constexpr std::size_t kChunkRuns = 32;
 
     void add(double x);
     void reset();
@@ -112,7 +117,45 @@ class SampleStat
         std::uint64_t end; ///< samples <= value: one past its last rank
     };
 
-    mutable std::vector<Run> _runs;       ///< strictly ascending values
+    /**
+     * Runs by index, kChunkRuns to a chunk. A chunk never moves once
+     * allocated, so growing the store copies chunk pointers, never
+     * runs. An empty store allocates nothing; a copy is deep.
+     */
+    class RunStore
+    {
+      public:
+        RunStore() = default;
+        RunStore(const RunStore &other);
+        RunStore &operator=(const RunStore &other);
+        RunStore(RunStore &&) noexcept = default;
+        RunStore &operator=(RunStore &&) noexcept = default;
+
+        std::size_t size() const { return _size; }
+        bool empty() const { return _size == 0; }
+
+        Run &operator[](std::size_t i)
+        {
+            return _chunks[i / kChunkRuns][i % kChunkRuns];
+        }
+        const Run &operator[](std::size_t i) const
+        {
+            return _chunks[i / kChunkRuns][i % kChunkRuns];
+        }
+        const Run &back() const { return (*this)[_size - 1]; }
+
+        /** Grow to @p n >= size() runs; the new ones are unset. */
+        void grow(std::size_t n);
+
+      private:
+        std::vector<std::unique_ptr<Run[]>> _chunks;
+        std::size_t _size = 0;
+    };
+
+    static_assert((kChunkRuns & (kChunkRuns - 1)) == 0,
+                  "runs are indexed by shift and mask");
+
+    mutable RunStore _runs;               ///< strictly ascending values
     mutable std::vector<double> _pending; ///< unsorted, not yet merged
     Summary _summary;
 

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <memory>
 #include <ostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "tflow/llc.hh"
@@ -132,6 +134,62 @@ TEST_F(LlcFixture, CutThroughBeatsStoreAndForwardLatency)
     sim::Tick sf = deliveryTime(false);
     EXPECT_GT(ct, 0u);
     EXPECT_LT(ct, sf);
+}
+
+TEST(LlcTiming, DeliveryTicksFollowTheFlitTimeFormula)
+{
+    // One frame at a time on an idle wire. The channel rate is odd,
+    // so each flit count rounds on its own, and the cut-through
+    // counts share memo slots (1, 9 and 17 flits; 5 and 13).
+    auto formula = [](const FlowParams &p, std::uint32_t flits) {
+        return sim::seconds(static_cast<double>(flits) *
+                            static_cast<double>(p.flitBytes) /
+                            p.channelBps);
+    };
+    const std::vector<std::pair<TxnType, std::size_t>> frames{
+        {TxnType::WriteReq, 1}, {TxnType::WriteReq, 3},
+        {TxnType::ReadReq, 8},  {TxnType::WriteReq, 2},
+        {TxnType::ReadReq, 1},  {TxnType::WriteReq, 1},
+        {TxnType::ReadReq, 12}, {TxnType::WriteReq, 4}};
+    for (bool cutThrough : {false, true}) {
+        SCOPED_TRACE(cutThrough ? "cut-through" : "store-and-forward");
+        sim::EventQueue eq;
+        sim::Rng rng{99};
+        FlowParams p;
+        p.cutThrough = cutThrough;
+        p.frameFlits = 24;
+        p.channelBps = 7.3e9;
+        LlcChannel ch("ch", eq, p, rng);
+        std::vector<sim::Tick> delivered;
+        ch.rxB().connectSink([&](TxnPtr) { delivered.push_back(eq.now()); });
+        ch.rxA().connectSink([](TxnPtr) {});
+        const sim::Tick hop = p.serdesLatency + p.wireLatency;
+        for (auto [type, count] : frames) {
+            SCOPED_TRACE(std::to_string(count) + " txns");
+            delivered.clear();
+            std::uint64_t framesBefore = ch.txA().framesSent();
+            sim::Tick sent = eq.now();
+            std::vector<std::uint32_t> flits;
+            for (std::size_t i = 0; i < count; ++i) {
+                auto txn = mem::makeTxn(type, i * 128);
+                flits.push_back(coalescedFlitCount(*txn));
+                ch.txA().enqueue(std::move(txn));
+            }
+            eq.run();
+            ASSERT_EQ(delivered.size(), count);
+            EXPECT_EQ(ch.txA().framesSent(), framesBefore + 1);
+            std::uint32_t cum = 1; // the cut-through header flit
+            for (std::size_t i = 0; i < count; ++i) {
+                sim::Tick expect = sent + hop + formula(p, p.frameFlits);
+                if (cutThrough) {
+                    cum += flits[i];
+                    expect = sent + hop + formula(p, 1) +
+                             (formula(p, cum) - formula(p, 1));
+                }
+                EXPECT_EQ(delivered[i], expect) << "txn " << i;
+            }
+        }
+    }
 }
 
 TEST_F(LlcFixture, InOrderDeliveryLargeStream)

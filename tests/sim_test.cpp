@@ -19,7 +19,9 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -515,6 +517,129 @@ TEST(SampleStatDiff, InterleavedReadsCrossFlushBoundaries)
         ASSERT_EQ(s.samples(), ref.sorted()) << "chunk " << chunk;
     }
     expectSame(s, ref);
+}
+
+namespace {
+
+/** Reads @p s, which merges its buffer into the runs. */
+void
+merge(const SampleStat &s)
+{
+    (void)s.quantile(0.5);
+}
+
+} // namespace
+
+TEST(SampleStatDiff, NewValuesLandAroundAndOnRuns)
+{
+    // Runs at 10, 20, ..., 1000; each later merge adds values below
+    // every run, between runs, above every run, and on existing runs.
+    SampleStat s;
+    SortedSamples ref;
+    for (int i = 1; i <= 100; ++i)
+        addBoth(s, ref, 10.0 * i);
+    merge(s);
+    expectSame(s, ref);
+
+    const std::vector<std::vector<double>> batches{
+        {-5.0, 0.0, 1.0, 9.5},                  // before every run
+        {15.0, 15.0, 505.0, 995.0, 11.0},       // between runs
+        {1000.5, 2000.0, 2000.0, 1e9},          // after every run
+        {10.0, 500.0, 1000.0, 1000.0, 10.0},    // on existing runs
+        {-7.0, 10.0, 12.5, 500.0, 777.0, 3e9},  // all four at once
+    };
+    for (const auto &batch : batches) {
+        for (double x : batch)
+            addBoth(s, ref, x);
+        merge(s);
+        expectSame(s, ref);
+    }
+}
+
+TEST(SampleStatDiff, MergesGrowByZeroOneAndSeveralChunks)
+{
+    const std::size_t c = SampleStat::kChunkRuns;
+    SampleStat s;
+    SortedSamples ref;
+    for (std::size_t i = 0; i < 3 * c; ++i)
+        addBoth(s, ref, 2.0 * static_cast<double>(i));
+    merge(s);
+    expectSame(s, ref);
+
+    // Zero new runs: every buffered value is already a run.
+    for (std::size_t i = 0; i < 3 * c; i += 5)
+        addBoth(s, ref, 2.0 * static_cast<double>(i));
+    merge(s);
+    expectSame(s, ref);
+
+    // One chunk: c values, each between two runs.
+    for (std::size_t i = 0; i < c; ++i)
+        addBoth(s, ref, 2.0 * static_cast<double>(i) + 1.0);
+    merge(s);
+    expectSame(s, ref);
+
+    // Several chunks, spread over the whole range and beyond it.
+    Rng rng(21);
+    for (std::size_t i = 0; i < 5 * c + 7; ++i)
+        addBoth(s, ref, rng.uniform(-100.0, 400.0));
+    merge(s);
+    expectSame(s, ref);
+}
+
+TEST(SampleStatDiff, ReadsAtChunkBoundarySizes)
+{
+    // One new run per merge, in a seeded shuffle, so the store passes
+    // 32, 33 and 64 runs; every size is read in full.
+    const std::size_t c = SampleStat::kChunkRuns;
+    std::vector<std::size_t> order(2 * c + 1);
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i + 1;
+    Rng rng(23);
+    for (std::size_t i = order.size() - 1; i > 0; --i)
+        std::swap(order[i], order[rng.below(i + 1)]);
+    SampleStat s;
+    SortedSamples ref;
+    for (std::size_t n = 0; n < order.size(); ++n) {
+        // Repeats, so each value's count differs.
+        for (std::size_t k = 0; k <= order[n] % 3; ++k)
+            addBoth(s, ref, 0.25 * static_cast<double>(order[n]));
+        SCOPED_TRACE(n + 1);
+        expectSame(s, ref);
+    }
+}
+
+TEST(SampleStatDiff, CopyAndMoveKeepRunsAndBuffer)
+{
+    // Several chunks of runs, then samples left in the buffer.
+    Rng rng(22);
+    SampleStat s;
+    SortedSamples ref;
+    for (std::size_t i = 0; i < 7 * SampleStat::kChunkRuns; ++i)
+        addBoth(s, ref, static_cast<double>(rng.below(100000)));
+    merge(s);
+    for (int i = 0; i < 100; ++i)
+        addBoth(s, ref, static_cast<double>(rng.below(100000)));
+
+    SampleStat copy(s);
+    SampleStat assigned;
+    assigned.add(1.0);
+    assigned = s;
+    SampleStat moved(std::move(copy));
+    SampleStat moveAssigned;
+    moveAssigned = std::move(assigned);
+    static_assert(std::is_nothrow_move_constructible_v<SampleStat>);
+    static_assert(std::is_nothrow_move_assignable_v<SampleStat>);
+
+    s.add(-1.0); // the source moves on; the copies do not see it
+    expectSame(moved, ref);
+    expectSame(moveAssigned, ref);
+    // The copies merge on their own: a further add to one copy shows
+    // in that copy alone.
+    moved.add(5e5);
+    SortedSamples more = ref;
+    more.add(5e5);
+    expectSame(moved, more);
+    expectSame(moveAssigned, ref);
 }
 
 TEST(SampleStatDiff, ResetStartsOver)

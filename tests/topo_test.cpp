@@ -1119,7 +1119,8 @@ TEST(TopoMonitorsT, UnknownMetricIsABuildErrorListingSeries)
 TEST(TopoMonitorsT, DumpFlightBreachWritesIntoDumpDir)
 {
     // A rule that trips in its first window dumps the owning LP's
-    // flight ring, once, into the process dump directory.
+    // flight ring, once, into the process dump directory, labelled
+    // with that LP's name (h0 runs the "mem" traffic).
     std::string text(kValid);
     auto pos = text.rfind('}');
     ASSERT_NE(pos, std::string::npos);
@@ -1149,6 +1150,9 @@ TEST(TopoMonitorsT, DumpFlightBreachWritesIntoDumpDir)
     EXPECT_NE(body.str().find("slo breach: any_mem"), std::string::npos)
         << body.str().substr(0, 200);
     EXPECT_NE(body.str().find("\"ph\""), std::string::npos);
+    EXPECT_NE(body.str().find("\"args\":{\"name\":\"h0\"}"),
+              std::string::npos)
+        << body.str().substr(0, 400);
 }
 
 TEST(TopoMonitorsT, WatchdogTripsUnderContentionOnly)

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/parallel/engine.hh"
 #include "sim/trace/export.hh"
 #include "tflow/rig.hh"
 
@@ -466,6 +467,37 @@ TEST_F(FlightRecorderDeathTest, FatalDoesNotDumpFlight)
         "configuration rejected: bad knob");
 
     EXPECT_TRUE(dir.dumps().empty());
+}
+
+TEST(EngineFlightDeathTest, DumpNamesEachLp)
+{
+    // An engine's LPs share one flight ring; the dump labels each
+    // LP's node with the LP's name, not the buffer's registry index.
+    ::testing::FLAGS_gtest_death_test_style = "fast";
+    FlightDumpDir dir;
+
+    EXPECT_DEATH(
+        {
+            sim::par::ParallelEngine engine;
+            for (const char *name : {"h0", "h1", "s0"})
+                engine.addLp(name).queue().trace().begin(
+                    1, 1, trace::Stage::C1);
+            TF_ASSERT(false, "forced failure for the recorder");
+        },
+        "flight recorder: 3 buffer\\(s\\) dumped to .*tf_flight_");
+
+    auto dumps = dir.dumps();
+    ASSERT_EQ(dumps.size(), 1u);
+    std::ifstream in(dumps.front());
+    std::stringstream ss;
+    ss << in.rdbuf();
+    const std::string json = ss.str();
+    for (const char *name : {"h0", "h1", "s0"})
+        EXPECT_NE(json.find("\"args\":{\"name\":\"" + std::string(name) +
+                            "\"}"),
+                  std::string::npos)
+            << name << " in " << json;
+    EXPECT_EQ(json.find("\"eq0\""), std::string::npos) << json;
 }
 
 // ------------------------------------------------------- TF_DEBUG
