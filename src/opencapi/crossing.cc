@@ -10,27 +10,6 @@ CrossingStage::CrossingStage(std::string name, sim::EventQueue &eq,
                              CrossingParams params)
     : SimObject(std::move(name), eq), _params(params)
 {
-    _serTicks.fill(sim::maxTick);
-}
-
-sim::Tick
-CrossingStage::serialisation(std::uint32_t bytes)
-{
-    auto ticks = [this, bytes] {
-        sim::Tick ser = 0;
-        if (_params.bandwidthBps > 0) {
-            double secs =
-                static_cast<double>(bytes) / _params.bandwidthBps;
-            ser = sim::seconds(secs);
-        }
-        return ser;
-    };
-    std::uint32_t flits = bytes / kFlitBytes;
-    if (flits >= _serTicks.size())
-        return ticks();
-    if (_serTicks[flits] == sim::maxTick)
-        _serTicks[flits] = ticks();
-    return _serTicks[flits];
 }
 
 void
@@ -40,7 +19,7 @@ CrossingStage::push(mem::TxnPtr txn)
               name().c_str());
 
     std::uint32_t bytes = wireBytes(*txn);
-    sim::Tick ser = serialisation(bytes);
+    sim::Tick ser = _serTicks(mem::flitCount(*txn));
     sim::Tick start = std::max(now(), _nextFree);
     _nextFree = start + ser;
     sim::Tick deliver = start + ser + _params.latency;

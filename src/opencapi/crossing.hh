@@ -13,7 +13,6 @@
 #ifndef TF_OCAPI_CROSSING_HH
 #define TF_OCAPI_CROSSING_HH
 
-#include <array>
 #include <functional>
 
 #include "mem/transaction.hh"
@@ -72,19 +71,12 @@ class CrossingStage : public sim::SimObject
     void setTraceStage(sim::trace::Stage stage) { _traceStage = stage; }
 
   private:
-    /** Serialisation ticks of a @p bytes item (whole flits). */
-    sim::Tick serialisation(std::uint32_t bytes);
-
     CrossingParams _params;
     OutFn _out;
     sim::trace::Stage _traceStage = sim::trace::Stage::None;
     sim::Tick _nextFree = 0;
-    /**
-     * serialisation() by flit count, filled on first use (maxTick
-     * until then): a stage sees a handful of sizes, so the division
-     * and sim::seconds run once per size instead of once per item.
-     */
-    std::array<sim::Tick, 16> _serTicks;
+    /** Serialisation ticks of an item by its flit count. */
+    sim::FlitTicks _serTicks{kFlitBytes, _params.bandwidthBps};
     sim::Counter _items;
     sim::Counter _bytes;
     sim::QuantileSketch _latencyNs;

@@ -11,6 +11,7 @@
 #ifndef TF_SIM_TICKS_HH
 #define TF_SIM_TICKS_HH
 
+#include <array>
 #include <cstdint>
 
 namespace tf::sim {
@@ -89,6 +90,49 @@ toSec(Tick t)
 {
     return static_cast<double>(t) / static_cast<double>(ticksPerSec);
 }
+
+/**
+ * Serialisation ticks of whole flits at a fixed rate,
+ * seconds(flits * flitBytes / bytesPerSec), memoised per flit count in
+ * a direct-mapped table that keeps the last count seen in each slot.
+ * A link stage sees few counts -- 1, 2 and 5 flits carry nearly every
+ * frame and transaction, and a store-and-forward frame always has the
+ * same count -- so misses are rare, and a miss evaluates the formula:
+ * every tick is the formula's. A rate of 0 serialises in no time.
+ */
+class FlitTicks
+{
+  public:
+    FlitTicks(std::uint32_t flitBytes, double bytesPerSec)
+        : _flitBytes(flitBytes), _bytesPerSec(bytesPerSec)
+    {
+    }
+
+    Tick
+    operator()(std::uint32_t flits)
+    {
+        Slot &slot = _slots[flits % _slots.size()];
+        if (slot.flits != flits) {
+            double bytes = static_cast<double>(flits) *
+                           static_cast<double>(_flitBytes);
+            slot = Slot{flits,
+                        _bytesPerSec > 0 ? seconds(bytes / _bytesPerSec)
+                                         : 0};
+        }
+        return slot.ticks;
+    }
+
+  private:
+    struct Slot
+    {
+        std::uint32_t flits = 0; ///< 0 flits take 0 ticks: a valid start
+        Tick ticks = 0;
+    };
+
+    std::array<Slot, 8> _slots{};
+    std::uint32_t _flitBytes;
+    double _bytesPerSec;
+};
 
 } // namespace tf::sim
 

@@ -118,7 +118,8 @@ TEST(Crossing, SerialisationOfEverySizeMatchesTheFormula)
 {
     // Interleaved sizes, some pushed while the stage is busy: each
     // delivery tick is the one the formula gives its wire bytes, also
-    // for a size past the stage's per-size table (129 flits).
+    // for sizes that share a slot of the stage's per-size memo (1, 9
+    // and 129 flits).
     sim::EventQueue eq;
     const double bw = 21.3e9;
     const sim::Tick lat = sim::nanoseconds(40);

@@ -58,13 +58,14 @@ from pathlib import Path
 SAMPLER_C = Path(__file__).resolve().parent / "sampler.c"
 
 
-def build_sampler(workdir):
-    """Compile the preload shim; exit with cc's output on failure."""
-    so = Path(workdir) / "tf_sampler.so"
-    r = subprocess.run(["cc", "-O2", "-fPIC", "-shared", "-o", str(so),
-                        str(SAMPLER_C)], capture_output=True, text=True)
+def build_shim(source, so):
+    """Compile the preload shim source into the library so; exit with
+    cc's output on failure."""
+    r = subprocess.run(["cc", "-O2", "-fPIC", "-shared", "-pthread", "-o",
+                        str(so), str(source)], capture_output=True,
+                       text=True)
     if r.returncode != 0:
-        sys.exit("profile: building the sampler failed:\n" + r.stderr)
+        sys.exit(f"building {source.name} failed:\n" + r.stderr)
     return so
 
 
@@ -82,6 +83,28 @@ class Module:
         self.relocated = head[:4] == b"\x7fELF" and head[16] == 3
 
 
+def add_mapping(modules, line):
+    """Add one /proc/self/maps line of a dump, without its "M ", to
+    modules (path -> Module), skipping anonymous mappings and files
+    that cannot be read."""
+    fields = line.split(None, 5)
+    if len(fields) < 6 or not fields[5].startswith("/"):
+        return
+    start, end = (int(x, 16) for x in fields[0].split("-"))
+    offset = int(fields[2], 16)
+    name = fields[5].strip()
+    if name not in modules:
+        try:
+            modules[name] = Module(name)
+        except OSError:
+            return
+    mod = modules[name]
+    if offset == 0 and (mod.base is None or start < mod.base):
+        mod.base = start
+    if "x" in fields[1]:
+        mod.ranges.append((start, end))
+
+
 Dump = collections.namedtuple("Dump", "samples modules pid dropped")
 
 
@@ -96,22 +119,7 @@ def parse_dump(path):
             if line.startswith("S "):
                 samples.append([int(x, 16) for x in line[2:].split()])
             elif line.startswith("M "):
-                fields = line[2:].split(None, 5)
-                if len(fields) < 6 or not fields[5].startswith("/"):
-                    continue
-                start, end = (int(x, 16) for x in fields[0].split("-"))
-                offset = int(fields[2], 16)
-                name = fields[5].strip()
-                if name not in modules:
-                    try:
-                        modules[name] = Module(name)
-                    except OSError:
-                        continue
-                mod = modules[name]
-                if offset == 0 and (mod.base is None or start < mod.base):
-                    mod.base = start
-                if "x" in fields[1]:
-                    mod.ranges.append((start, end))
+                add_mapping(modules, line[2:])
             elif line.startswith("# tf-sampler "):
                 header = dict(kv.split("=", 1) for kv in line.split()[2:])
                 pid, dropped = int(header["pid"]), int(header["dropped"])
@@ -203,6 +211,17 @@ def report(dumps, top, out):
                       f"  {key[fn]:7d}  {fn}\n")
 
 
+def write_report(write):
+    """Call write(sys.stdout). If the reader has gone (`| head`), point
+    stdout at /dev/null so the interpreter's own flush at exit does not
+    raise again."""
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
@@ -219,7 +238,7 @@ def main():
             sys.exit(f"profile: {tool} not found")
 
     with tempfile.TemporaryDirectory(prefix="tf_profile_") as work:
-        so = build_sampler(work)
+        so = build_shim(SAMPLER_C, Path(work) / "tf_sampler.so")
         env = dict(os.environ)
         env["LD_PRELOAD"] = " ".join(
             p for p in (str(so), env.get("LD_PRELOAD", "")) if p)
@@ -227,13 +246,7 @@ def main():
         status = subprocess.run(cmd, env=env, check=False).returncode
         dumps = [parse_dump(p)
                  for p in sorted(Path(work).glob("samples.*"))]
-    try:
-        report(dumps, args.top, sys.stdout)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader has gone (`| head`). Point stdout at /dev/null so
-        # the interpreter's own flush at exit does not raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    write_report(lambda out: report(dumps, args.top, out))
     return status
 
 
