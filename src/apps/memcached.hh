@@ -104,7 +104,6 @@ class MemcachedServer
 
     std::uint64_t hits() const { return _hits.value(); }
     std::uint64_t misses() const { return _misses.value(); }
-    std::size_t residentItems() const { return _lru.size(); }
 
   private:
     struct Item

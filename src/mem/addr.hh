@@ -51,12 +51,6 @@ isAligned(Addr a, std::uint64_t unit)
 }
 
 constexpr std::uint64_t
-lineIndex(Addr a)
-{
-    return a / cachelineBytes;
-}
-
-constexpr std::uint64_t
 pageIndex(Addr a)
 {
     return a / pageBytes;

@@ -20,7 +20,6 @@
 #ifndef TF_MEM_DRAM_HH
 #define TF_MEM_DRAM_HH
 
-#include <deque>
 #include <vector>
 
 #include "mem/backing_store.hh"
@@ -37,8 +36,6 @@ struct DramParams
     sim::Tick accessLatency = sim::nanoseconds(90);
     /** Sustained channel bandwidth, bytes per second. */
     double bandwidthBps = 110e9; // AC922-class per-socket ballpark
-    /** Capacity, bytes (0 = unbounded). Checked, not enforced. */
-    std::uint64_t capacity = 0;
     /**
      * Independent banks behind the channel. 1 = legacy single-cursor
      * model (the channel is the only serialisation point); > 1 adds
@@ -163,7 +160,7 @@ class Dram : public sim::SimObject
     /** Open row per bank, rowOf(addr) + 1; 0 = none open. */
     std::vector<std::uint64_t> _openRow;
     /** FR-FCFS request queue, arrival order (banks > 1 only). */
-    std::deque<Pending> _pending;
+    std::vector<Pending> _pending;
     /** Bytes queued but not yet dispatched (estimate input). */
     std::uint64_t _pendingBytes = 0;
     /** Earliest armed dispatch retry; dedups scheduler wakeups. */

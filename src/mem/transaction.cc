@@ -11,31 +11,6 @@ namespace {
 
 std::atomic<std::uint64_t> g_nextTxnId{1};
 
-/**
- * Released transactions this thread keeps for reuse; beyond this they
- * are freed. Warm-up phases hold thousands of transactions at once, so
- * a deep cache would pin their memory for the rest of the run.
- */
-constexpr std::size_t kMaxFreeTxns = 256;
-
-struct TxnFreeList
-{
-    std::vector<MemTxn *> txns;
-    std::uint64_t heapAllocations = 0;
-
-    TxnFreeList() { txns.reserve(kMaxFreeTxns); }
-    TxnFreeList(const TxnFreeList &) = delete;
-    TxnFreeList &operator=(const TxnFreeList &) = delete;
-
-    ~TxnFreeList()
-    {
-        for (MemTxn *txn : txns)
-            delete txn;
-    }
-};
-
-thread_local TxnFreeList t_freeTxns;
-
 } // namespace
 
 void
@@ -58,59 +33,37 @@ MemTxn::complete()
     }
 }
 
-MemTxn *
-MemTxn::allocate()
-{
-    TxnFreeList &pool = t_freeTxns;
-    if (pool.txns.empty()) {
-        ++pool.heapAllocations;
-        return new MemTxn();
-    }
-    MemTxn *txn = pool.txns.back();
-    pool.txns.pop_back();
-    return txn;
-}
-
 void
-MemTxn::recycle(MemTxn *txn) noexcept
+MemTxn::recycle() noexcept
 {
-    // Back to default state first, so the completion's captures die
-    // with the last handle whether or not the object is kept.
-    std::vector<std::uint8_t> data = std::move(txn->data);
-    txn->~MemTxn();
-    ::new (txn) MemTxn();
-
-    TxnFreeList &pool = t_freeTxns;
-    if (pool.txns.size() >= kMaxFreeTxns) {
-        delete txn;
-        return;
-    }
+    std::vector<std::uint8_t> keep = std::move(data);
+    this->~MemTxn();
+    ::new (this) MemTxn();
     // Keep a cacheline of payload capacity, so read responses and
     // write payloads stop allocating, but never more: page-sized
     // fills and flush snapshots would otherwise stay pinned here.
-    if (data.capacity() <= cachelineBytes) {
-        data.clear();
-        txn->data = std::move(data);
+    if (keep.capacity() <= cachelineBytes) {
+        keep.clear();
+        data = std::move(keep);
     }
-    pool.txns.push_back(txn);
 }
 
 TxnPtr
 makeTxn(TxnType type, Addr addr, std::uint32_t size)
 {
-    MemTxn *txn = MemTxn::allocate();
+    TxnPtr txn = TxnPtr::acquire();
     txn->id = g_nextTxnId.fetch_add(1, std::memory_order_relaxed);
     txn->type = type;
     txn->addr = addr;
     txn->origAddr = addr;
     txn->size = size;
-    return TxnPtr(txn);
+    return txn;
 }
 
 TxnPtr
 cloneForCompletion(MemTxn &src)
 {
-    MemTxn *txn = MemTxn::allocate();
+    TxnPtr txn = TxnPtr::acquire();
     txn->id = src.id;
     txn->type = src.type;
     txn->addr = src.addr;
@@ -128,13 +81,7 @@ cloneForCompletion(MemTxn &src)
     txn->data = src.data;
     txn->errorSink = std::exchange(src.errorSink, nullptr);
     txn->onComplete = std::move(src.onComplete);
-    return TxnPtr(txn);
-}
-
-std::uint64_t
-txnHeapAllocations()
-{
-    return t_freeTxns.heapAllocations;
+    return txn;
 }
 
 } // namespace tf::mem

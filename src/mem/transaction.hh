@@ -14,19 +14,18 @@
  * on one thread, and no two threads share a transaction. One logical
  * process owns a transaction at a time, and a transaction crosses to
  * another LP only by moving its last handle through a channel. The last
- * release returns the object to a per-thread freelist.
+ * release returns the object to a per-thread freelist (sim/pool.hh).
  */
 
 #ifndef TF_MEM_TRANSACTION_HH
 #define TF_MEM_TRANSACTION_HH
 
-#include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "mem/addr.hh"
 #include "sim/callback.hh"
+#include "sim/pool.hh"
 #include "sim/ticks.hh"
 #include "sim/trace/span.hh"
 
@@ -64,59 +63,11 @@ struct MemTxn;
 
 /**
  * Counted handle to a pooled MemTxn: copyable, 8 bytes, and the last
- * handle to go returns the transaction to its thread's freelist.
- * Copying and dropping handles is not thread-safe; see the ownership
- * rule in the file comment.
+ * handle to go returns the transaction to its thread's freelist, which
+ * keeps up to 256. Copying and dropping handles is not thread-safe;
+ * see the ownership rule in the file comment.
  */
-class TxnPtr
-{
-  public:
-    TxnPtr() noexcept = default;
-
-    /** Another handle to @p txn (adds a reference). */
-    explicit TxnPtr(MemTxn *txn) noexcept;
-
-    TxnPtr(const TxnPtr &other) noexcept : TxnPtr(other._txn) {}
-    TxnPtr(TxnPtr &&other) noexcept
-        : _txn(std::exchange(other._txn, nullptr))
-    {
-    }
-
-    TxnPtr &
-    operator=(TxnPtr other) noexcept
-    {
-        std::swap(_txn, other._txn);
-        return *this;
-    }
-
-    ~TxnPtr() { reset(); }
-
-    /** Drop this handle's reference. */
-    void reset() noexcept;
-
-    MemTxn *get() const noexcept { return _txn; }
-    MemTxn &operator*() const noexcept { return *_txn; }
-    MemTxn *operator->() const noexcept { return _txn; }
-    explicit operator bool() const noexcept { return _txn != nullptr; }
-
-    /** Handles currently sharing this transaction (0 when null). */
-    std::uint32_t useCount() const noexcept;
-
-    friend bool
-    operator==(const TxnPtr &a, const TxnPtr &b) noexcept
-    {
-        return a._txn == b._txn;
-    }
-
-    friend bool
-    operator==(const TxnPtr &a, std::nullptr_t) noexcept
-    {
-        return a._txn == nullptr;
-    }
-
-  private:
-    MemTxn *_txn = nullptr;
-};
+using TxnPtr = sim::PoolPtr<MemTxn, 256>;
 
 /**
  * Final disposition of a transaction, settled exactly once when the
@@ -172,10 +123,17 @@ using CompletionFn = sim::InlineFn<void(MemTxn &), 48>;
  * effective (RMMU). Each stage overwrites @c addr; @c origAddr keeps
  * the address as first seen by the compute endpoint for bookkeeping.
  *
- * Only makeTxn() and cloneForCompletion() create transactions.
+ * Only makeTxn() and cloneForCompletion() create transactions (both
+ * through TxnPtr::acquire()).
  */
-struct MemTxn
+struct MemTxn : sim::PoolRefs
 {
+    /**
+     * OpenCAPI tag slot held at the compute endpoint, or noTag. First,
+     * so it fills the 4 bytes after the handle count.
+     */
+    std::uint32_t tag = noTag;
+
     std::uint64_t id = 0;
     TxnType type = TxnType::ReadReq;
     Addr addr = 0;
@@ -210,14 +168,6 @@ struct MemTxn
      */
     sim::trace::TraceId traceId = sim::trace::noTrace;
 
-    /** OpenCAPI tag slot held at the compute endpoint, or noTag. */
-    std::uint32_t tag = noTag;
-
-  private:
-    friend class TxnPtr;
-    std::uint32_t _refs = 0;
-
-  public:
     /** Called by complete() first when the transaction failed. */
     ErrorSink *errorSink = nullptr;
 
@@ -248,36 +198,17 @@ struct MemTxn
     void complete();
 
   private:
-    friend TxnPtr makeTxn(TxnType, Addr, std::uint32_t);
-    friend TxnPtr cloneForCompletion(MemTxn &);
+    friend TxnPtr;
 
     MemTxn() = default;
 
-    /** A default-state transaction, from the freelist when it can. */
-    static MemTxn *allocate();
-    /** Return a released transaction to the freelist (or free it). */
-    static void recycle(MemTxn *txn) noexcept;
+    /**
+     * Pool reset: rebuilt in place, so the completion's captures die
+     * with the last handle, keeping at most a cacheline of payload
+     * capacity.
+     */
+    void recycle() noexcept;
 };
-
-inline TxnPtr::TxnPtr(MemTxn *txn) noexcept : _txn(txn)
-{
-    if (_txn != nullptr)
-        ++_txn->_refs;
-}
-
-inline void
-TxnPtr::reset() noexcept
-{
-    MemTxn *txn = std::exchange(_txn, nullptr);
-    if (txn != nullptr && --txn->_refs == 0)
-        MemTxn::recycle(txn);
-}
-
-inline std::uint32_t
-TxnPtr::useCount() const noexcept
-{
-    return _txn != nullptr ? _txn->_refs : 0;
-}
 
 /** Allocate a fresh transaction with a process-unique id. */
 TxnPtr makeTxn(TxnType type, Addr addr, std::uint32_t size = cachelineBytes);
@@ -295,7 +226,11 @@ TxnPtr cloneForCompletion(MemTxn &src);
  * Transactions this thread has taken from the heap rather than from
  * its freelist; flat in steady state.
  */
-std::uint64_t txnHeapAllocations();
+inline std::uint64_t
+txnHeapAllocations()
+{
+    return TxnPtr::heapAllocations();
+}
 
 /**
  * Number of 32-byte flits a transaction occupies on the link. The

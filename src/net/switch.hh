@@ -141,7 +141,6 @@ class FabricLink : public sim::SimObject
     /** Total time messages spent waiting for the port (ns, summed). */
     const sim::Counter &queueOccupancyNs() const { return _occupancyNs; }
     const sim::Counter &bytesCounter() const { return _bytes; }
-    const sim::Counter &messagesCounter() const { return _messages; }
 
     void attachStats(sim::StatSet &set);
 

@@ -58,7 +58,6 @@ class C1Master : public sim::SimObject
 
     std::uint64_t faults() const { return _faults.value(); }
     std::uint64_t transactions() const { return _txns.value(); }
-    std::uint64_t bytesMastered() const { return _bytes.value(); }
 
     /** Command-to-completion service latency (incl. DRAM). */
     const sim::QuantileSketch &serviceNs() const { return _serviceNs; }

@@ -53,8 +53,6 @@ class CrossingStage : public sim::SimObject
         return mem::flitCount(txn) * kFlitBytes;
     }
 
-    std::uint64_t itemsForwarded() const { return _items.value(); }
-    std::uint64_t bytesForwarded() const { return _bytes.value(); }
     const CrossingParams &params() const { return _params; }
 
     /** Per-item crossing latency (queueing + serialisation + fixed). */

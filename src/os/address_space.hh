@@ -30,7 +30,6 @@ class AddressSpace
     /** Manager-scoped id; stable across runs, unlike `this`. */
     std::uint64_t id() const { return _id; }
     AllocPolicy &policy() { return _policy; }
-    void setPolicy(AllocPolicy p) { _policy = std::move(p); }
 
     /**
      * Reserve @p bytes of virtual space; pages are faulted in lazily

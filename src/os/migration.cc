@@ -79,15 +79,11 @@ AutoNuma::scan()
         if (done.size() >= _params.maxMigrationsPerScan)
             break;
         NodeId target = h->accessor;
-        if (!nodeHasHeadroom(target)) {
-            _failed.inc();
+        if (!nodeHasHeadroom(target))
             continue;
-        }
         auto frame = _mm.allocPageOn(target);
-        if (!frame) {
-            _failed.inc();
+        if (!frame)
             continue;
-        }
         NodeId from = h->space->nodeOf(h->vaddr);
         h->space->remap(h->vaddr, *frame);
         _migrations.inc();

@@ -64,7 +64,6 @@ class AutoNuma
     std::vector<Migration> scan();
 
     std::uint64_t migrations() const { return _migrations.value(); }
-    std::uint64_t failedMigrations() const { return _failed.value(); }
 
   private:
     struct PageHeat
@@ -80,7 +79,6 @@ class AutoNuma
     // key: (space, vpn) folded; value: heat record.
     std::unordered_map<std::uint64_t, PageHeat> _heat;
     sim::Counter _migrations;
-    sim::Counter _failed;
 
     std::uint64_t key(const AddressSpace &space, mem::Addr vaddr) const;
     bool nodeHasHeadroom(NodeId node) const;

@@ -153,9 +153,6 @@ class EventQueue
     /** Physical queue occupancy, live + not-yet-reclaimed dead. */
     std::size_t heapSize() const { return _wheelCount + _far.size(); }
 
-    /** Cancelled (but not yet reclaimed) entries still queued. */
-    std::size_t deadEntries() const { return _dead; }
-
     /** Lifetime peak of the physical queue occupancy. */
     std::uint64_t heapHighWater() const { return _highWater.value(); }
 

@@ -92,38 +92,43 @@ JsonWriter::endArray()
     _os << ']';
 }
 
-void
-JsonWriter::writeString(const std::string &s)
+std::ostream &
+operator<<(std::ostream &os, JsonEscaped s)
 {
-    _os << '"';
-    for (char c : s) {
+    for (char c : s.text) {
         switch (c) {
           case '"':
-            _os << "\\\"";
+            os << "\\\"";
             break;
           case '\\':
-            _os << "\\\\";
+            os << "\\\\";
             break;
           case '\n':
-            _os << "\\n";
+            os << "\\n";
             break;
           case '\t':
-            _os << "\\t";
+            os << "\\t";
             break;
           case '\r':
-            _os << "\\r";
+            os << "\\r";
             break;
           default:
             if (static_cast<unsigned char>(c) < 0x20) {
                 char buf[8];
                 std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                _os << buf;
+                os << buf;
             } else {
-                _os << c;
+                os << c;
             }
         }
     }
-    _os << '"';
+    return os;
+}
+
+void
+JsonWriter::writeString(const std::string &s)
+{
+    _os << '"' << JsonEscaped{s} << '"';
 }
 
 std::string

@@ -17,9 +17,22 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tf::sim {
+
+/**
+ * A JSON string body: `os << JsonEscaped{s}` writes @p s escaped, without
+ * the quotes, exactly as JsonWriter writes its strings. For output that
+ * streams its own JSON syntax (the trace-event export).
+ */
+struct JsonEscaped
+{
+    std::string_view text;
+};
+
+std::ostream &operator<<(std::ostream &os, JsonEscaped s);
 
 class JsonWriter
 {

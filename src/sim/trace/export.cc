@@ -15,39 +15,6 @@ namespace tf::sim::trace {
 
 namespace {
 
-/** Minimal JSON string escaping (panic messages carry quotes). */
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /**
  * Ticks are picoseconds and trace-event timestamps are microseconds:
  * emit "<us>.<frac>" from the integer tick so the output is exact
@@ -109,7 +76,7 @@ writeTimelineEvents(std::ostream &os, const timeline::Timeline &tl,
                 continue; // empty window: no point, not a zero
             sep();
             os << "{\"ph\":\"C\",\"cat\":\"timeline\",\"name\":\""
-               << escape(name) << "\",\"pid\":" << kTimelinePid
+               << JsonEscaped{name} << "\",\"pid\":" << kTimelinePid
                << ",\"ts\":";
             writeTs(os, static_cast<Tick>(w) * tl.window());
             os << ",\"args\":{\"value\":"
@@ -135,7 +102,7 @@ writeTimelineEvents(std::ostream &os, const timeline::Timeline &tl,
     for (const auto &f : faults) {
         sep();
         os << "{\"ph\":\"X\",\"cat\":\"fault\",\"name\":\""
-           << escape(f.label) << "\",\"pid\":" << kTimelinePid
+           << JsonEscaped{f.label} << "\",\"pid\":" << kTimelinePid
            << ",\"tid\":" << kFaultTid << ",\"ts\":";
         writeTs(os, f.begin);
         os << ",\"dur\":";
@@ -166,7 +133,7 @@ writeTraceEventsJson(std::ostream &os,
         sep();
         os << "{\"ph\":\"M\",\"pid\":" << pid
            << ",\"name\":\"process_name\",\"args\":{\"name\":\""
-           << escape(nodes[n].name) << "\"}}";
+           << JsonEscaped{nodes[n].name} << "\"}}";
         bool seen[kStageCount] = {};
         for (const SpanEvent &ev : nodes[n].events)
             seen[static_cast<int>(ev.stage)] = true;
@@ -222,7 +189,7 @@ writeTraceEventsJson(std::ostream &os,
     os << "],\n\"displayTimeUnit\":\"ns\"";
     if (reason != nullptr)
         os << ",\n\"otherData\":{\"reason\":\""
-           << escape(reason) << "\"}";
+           << JsonEscaped{reason} << "\"}";
     os << "}\n";
 }
 

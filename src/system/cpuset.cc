@@ -15,7 +15,6 @@ CpuSet::exec(sim::Tick cpuTime, std::function<void()> done)
 {
     if (_busy >= _hwThreads) {
         _queue.emplace_back(cpuTime, std::move(done));
-        _queuedPeak = std::max(_queuedPeak, _queue.size());
         return;
     }
     start(cpuTime, std::move(done));

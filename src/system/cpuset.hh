@@ -25,7 +25,6 @@ class CpuSet : public sim::SimObject
     CpuSet(std::string name, sim::EventQueue &eq, int hwThreads);
 
     int hwThreads() const { return _hwThreads; }
-    int busyThreads() const { return _busy; }
 
     /**
      * Occupy one hardware thread for @p cpuTime, then run @p done.
@@ -36,21 +35,7 @@ class CpuSet : public sim::SimObject
     /** Total busy thread-time accumulated. */
     sim::Tick busyTime() const { return _busyTime; }
 
-    /** Average busy hardware threads over [start, end]. */
-    double
-    averageBusy(sim::Tick start, sim::Tick end) const
-    {
-        if (end <= start)
-            return 0.0;
-        return static_cast<double>(_busyTime - 0) /
-               static_cast<double>(end - start);
-    }
-
-    /** Busy-time accumulated since @p mark (for windowed UCC). */
-    sim::Tick busySince(sim::Tick mark) const { return _busyTime - mark; }
-
     std::uint64_t tasksRun() const { return _tasks.value(); }
-    std::uint64_t queuedPeak() const { return _queuedPeak; }
 
   private:
     int _hwThreads;
@@ -58,7 +43,6 @@ class CpuSet : public sim::SimObject
     sim::Tick _busyTime = 0;
     std::deque<std::pair<sim::Tick, std::function<void()>>> _queue;
     sim::Counter _tasks;
-    std::uint64_t _queuedPeak = 0;
 
     void start(sim::Tick cpuTime, std::function<void()> done);
 };

@@ -26,7 +26,8 @@ struct NodeParams
     /** Parallel hardware threads (dual-socket POWER9: 32c x SMT4). */
     int hwThreads = 128;
     /** Local DRAM model. */
-    mem::DramParams dram{sim::nanoseconds(90), 110e9, 0};
+    mem::DramParams dram{.accessLatency = sim::nanoseconds(90),
+                         .bandwidthBps = 110e9};
     /** Shared last-level cache model used by workload models. */
     mem::CacheParams cache{64 * 1024 * 1024, 8, 128};
     /** Kernel section size (scaled down for simulation). */

@@ -64,7 +64,6 @@ class RackCluster
                 RackParams params, std::uint64_t seed);
 
     const RackParams &params() const { return _params; }
-    std::size_t rackCount() const { return _racks.size(); }
 
     /** Datapath loads completed, summed over all racks. */
     std::uint64_t opsCompleted() const;

@@ -12,18 +12,26 @@
 #ifndef TF_FLOW_FRAME_HH
 #define TF_FLOW_FRAME_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "mem/transaction.hh"
+#include "sim/pool.hh"
 
 namespace tf::flow {
 
 using FrameSeq = std::uint64_t;
 
-struct Frame
+struct Frame;
+
+/**
+ * Counted handle to a pooled Frame; this thread's freelist keeps up to
+ * 512. Frames never leave the LP of the LlcTx that assembled them.
+ */
+using FramePtr = sim::PoolPtr<Frame, 512>;
+
+struct Frame : sim::PoolRefs
 {
     FrameSeq seq = 0;
     /** Whole transactions packed into this frame. */
@@ -35,6 +43,22 @@ struct Frame
     bool corrupted = false;
     /** True when this transmission is a replay. */
     bool replayed = false;
+
+  private:
+    friend FramePtr;
+
+    /**
+     * Pool reset: default fields, but txns keeps its capacity, the
+     * allocation the pool exists to recycle.
+     */
+    void
+    recycle() noexcept
+    {
+        std::vector<mem::TxnPtr> keep = std::move(txns);
+        keep.clear();
+        *this = Frame();
+        txns = std::move(keep);
+    }
 };
 
 /**
@@ -49,172 +73,6 @@ coalescedFlitCount(const mem::MemTxn &txn)
 {
     std::uint32_t flits = mem::flitCount(txn);
     return flits > 1 ? flits - 1 : 1;
-}
-
-/**
- * Counted handle to a pooled Frame. Frames never leave the LP of the
- * LlcTx that assembled them, so the count is not atomic. The last
- * handle to go hands the frame back to its pool.
- */
-class FramePtr
-{
-  public:
-    FramePtr() noexcept = default;
-
-    FramePtr(const FramePtr &other) noexcept : _slot(other._slot)
-    {
-        if (_slot != nullptr)
-            ++_slot->refs;
-    }
-
-    FramePtr(FramePtr &&other) noexcept
-        : _slot(std::exchange(other._slot, nullptr))
-    {
-    }
-
-    FramePtr &
-    operator=(FramePtr other) noexcept
-    {
-        std::swap(_slot, other._slot);
-        return *this;
-    }
-
-    ~FramePtr() { reset(); }
-
-    /** Drop this handle's reference. */
-    void reset() noexcept;
-
-    Frame *get() const noexcept { return _slot ? &_slot->frame : nullptr; }
-    Frame &operator*() const noexcept { return _slot->frame; }
-    Frame *operator->() const noexcept { return &_slot->frame; }
-    explicit operator bool() const noexcept { return _slot != nullptr; }
-
-  private:
-    friend class FramePool;
-
-    struct Core;
-
-    /** A pooled frame plus its handle count and owning pool. */
-    struct Slot
-    {
-        Frame frame;
-        std::uint32_t refs = 0;
-        Core *core = nullptr;
-    };
-
-    /** Freelist shared by a pool and its outstanding frames. */
-    struct Core
-    {
-        std::vector<Slot *> free;
-        /** Frames handed out and not yet released. */
-        std::size_t live = 0;
-        /** Frames taken from the heap rather than the freelist. */
-        std::uint64_t heapAllocations = 0;
-        /** The pool died; the last live frame frees the core. */
-        bool orphaned = false;
-    };
-
-    explicit FramePtr(Slot *slot) noexcept : _slot(slot) { ++_slot->refs; }
-
-    static void release(Slot *slot) noexcept;
-
-    Slot *_slot = nullptr;
-};
-
-/**
- * Freelist pool for Frame objects.
- *
- * Every wire transmission allocates a Frame (and its txns vector). The
- * pool recycles the Frame *object* — most importantly the txns
- * vector's capacity — through a freelist, and FramePtr counts handles
- * inside the pooled slot, so a frame costs no allocation at all in
- * steady state.
- *
- * Lifetime: frames routinely outlive their LlcTx (deliveries already
- * scheduled in the event queue when a channel is torn down), so the
- * freelist core outlives the pool until the last outstanding frame
- * is released.
- */
-class FramePool
-{
-  public:
-    FramePool() : _core(new FramePtr::Core) {}
-
-    FramePool(const FramePool &) = delete;
-    FramePool &operator=(const FramePool &) = delete;
-
-    ~FramePool()
-    {
-        for (FramePtr::Slot *slot : _core->free)
-            delete slot;
-        _core->free.clear();
-        if (_core->live == 0)
-            delete _core;
-        else
-            _core->orphaned = true;
-    }
-
-    /** A fresh (default-state) pooled frame. */
-    FramePtr
-    acquire()
-    {
-        FramePtr::Slot *slot = nullptr;
-        if (!_core->free.empty()) {
-            slot = _core->free.back();
-            _core->free.pop_back();
-        } else {
-            slot = new FramePtr::Slot;
-            slot->core = _core;
-            ++_core->heapAllocations;
-        }
-        ++_core->live;
-        return FramePtr(slot);
-    }
-
-    std::size_t freeCount() const { return _core->free.size(); }
-
-    /** Frames this pool has taken from the heap; flat in steady state. */
-    std::uint64_t heapAllocations() const { return _core->heapAllocations; }
-
-  private:
-    friend class FramePtr;
-
-    /** Frames cached beyond this are genuinely freed. */
-    static constexpr std::size_t kMaxFree = 512;
-
-    FramePtr::Core *_core;
-};
-
-inline void
-FramePtr::reset() noexcept
-{
-    Slot *slot = std::exchange(_slot, nullptr);
-    if (slot != nullptr && --slot->refs == 0)
-        release(slot);
-}
-
-inline void
-FramePtr::release(Slot *slot) noexcept
-{
-    Core *core = slot->core;
-    --core->live;
-    if (core->orphaned || core->free.size() >= FramePool::kMaxFree) {
-        delete slot;
-        if (core->orphaned && core->live == 0)
-            delete core;
-        return;
-    }
-    // Reset to default state now so payload references are released
-    // immediately; clear() keeps txns' capacity, which is the
-    // allocation this pool exists to recycle.
-    Frame &f = slot->frame;
-    f.seq = 0;
-    f.txns.clear();
-    f.usedFlits = 0;
-    f.padFlits = 0;
-    f.corrupted = false;
-    f.replayed = false;
-    core->free.push_back(slot);
 }
 
 /**

@@ -241,7 +241,7 @@ LlcTx::scheduleKick(sim::Tick when)
 FramePtr
 LlcTx::assembleFrame()
 {
-    FramePtr frame = _framePool.acquire();
+    FramePtr frame = FramePtr::acquire();
     frame->seq = _nextSeq++;
     // Cut-through frames lead with one shared header flit and
     // coalesce the per-transaction headers into its slot table;
@@ -276,7 +276,7 @@ LlcTx::transmit(const FramePtr &frame, bool replay)
         _replays.inc();
         // Retransmissions are fresh copies on the wire: clear the
         // corruption marker from an earlier damaged delivery.
-        FramePtr copy = _framePool.acquire();
+        FramePtr copy = FramePtr::acquire();
         *copy = *frame;
         copy->corrupted = false;
         copy->replayed = true;

@@ -245,7 +245,6 @@ class LlcTx : public sim::SimObject
     std::uint32_t credits() const { return _credits; }
     std::size_t queueDepth() const { return _queue.size(); }
     std::size_t replayBufDepth() const { return _replayBuf.size(); }
-    const FramePool &framePool() const { return _framePool; }
 
     std::uint64_t framesSent() const { return _framesSent.value(); }
     std::uint64_t txnsSent() const { return _txnsSent.value(); }
@@ -270,7 +269,6 @@ class LlcTx : public sim::SimObject
     Wire &_wire;
     std::deque<mem::TxnPtr> _queue;
     std::deque<FramePtr> _replayBuf; // oldest unacked first
-    FramePool _framePool;
     std::uint32_t _credits;
     FrameSeq _nextSeq = 0;
     bool _kickScheduled = false;
@@ -340,8 +338,6 @@ class LlcRx : public sim::SimObject
 
     /** Link retrain after recovery: expect a fresh sequence space. */
     void resetLink();
-
-    FrameSeq expectedSeq() const { return _expected; }
 
     std::uint64_t framesDelivered() const { return _delivered.value(); }
     std::uint64_t txnsDelivered() const { return _txnsDelivered.value(); }

@@ -106,13 +106,6 @@ struct FlowParams
     sim::Tick requestDeadline = 0;
     /** Frame drain time at Rx before its credit is returned. */
     sim::Tick rxDrainLatency = sim::nanoseconds(40);
-
-    /** One-way latency for piggybacked control info (credits/acks). */
-    sim::Tick
-    controlLatency() const
-    {
-        return serdesLatency + wireLatency;
-    }
 };
 
 } // namespace tf::flow

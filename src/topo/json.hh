@@ -65,7 +65,6 @@ class Value
     Value() = default;
 
     Type type() const { return _type; }
-    bool isNull() const { return _type == Type::Null; }
     bool isBool() const { return _type == Type::Bool; }
     bool isNumber() const { return _type == Type::Number; }
     bool isString() const { return _type == Type::String; }

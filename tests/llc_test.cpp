@@ -10,6 +10,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -744,15 +745,59 @@ TEST_F(LlcFixture, AckChurnKeepsKernelHeapBounded)
 }
 
 // ------------------------------------------------------------------
-// FramePool: the Tx path's frame freelist.
+// Pool: frames and transactions share one counted handle over a
+// per-thread freelist (sim/pool.hh).
 // ------------------------------------------------------------------
 
-TEST(FramePool, RecycledFrameComesBackInDefaultState)
+namespace {
+
+/**
+ * Hold every object on this thread's freelist for Ptr, so the next
+ * release is the next object acquire() hands out.
+ */
+template <typename Ptr>
+std::vector<Ptr>
+drainFreelist()
 {
-    FramePool pool;
+    std::vector<Ptr> held;
+    while (Ptr::freeCount() > 0)
+        held.push_back(Ptr::acquire());
+    return held;
+}
+
+/**
+ * Release a burst of maxFree + extra objects: the freelist keeps
+ * maxFree and frees the rest, and taking the burst again costs
+ * exactly the extra objects from the heap.
+ */
+template <typename Ptr>
+void
+expectCapFreesTheExcess()
+{
+    constexpr std::size_t extra = 8;
+    auto held = drainFreelist<Ptr>();
+    std::uint64_t misses = Ptr::heapAllocations();
+    std::vector<Ptr> burst;
+    for (std::size_t i = 0; i < Ptr::maxFree + extra; ++i)
+        burst.push_back(Ptr::acquire());
+    EXPECT_EQ(Ptr::heapAllocations(), misses + Ptr::maxFree + extra);
+    burst.clear();
+    EXPECT_EQ(Ptr::freeCount(), Ptr::maxFree);
+    for (std::size_t i = 0; i < Ptr::maxFree + extra; ++i)
+        burst.push_back(Ptr::acquire());
+    EXPECT_EQ(Ptr::freeCount(), 0u);
+    EXPECT_EQ(Ptr::heapAllocations(), misses + Ptr::maxFree + 2 * extra);
+}
+
+} // namespace
+
+TEST(Pool, RecycledFrameComesBackInDefaultState)
+{
+    auto held = drainFreelist<FramePtr>();
     Frame *raw = nullptr;
+    std::size_t capacity = 0;
     {
-        FramePtr f = pool.acquire();
+        FramePtr f = FramePtr::acquire();
         raw = f.get();
         f->seq = 7;
         f->usedFlits = 3;
@@ -760,47 +805,111 @@ TEST(FramePool, RecycledFrameComesBackInDefaultState)
         f->corrupted = true;
         f->replayed = true;
         f->txns.push_back(mem::makeTxn(TxnType::ReadReq, 0));
+        f->txns.push_back(mem::makeTxn(TxnType::ReadReq, 128));
+        capacity = f->txns.capacity();
     }
-    ASSERT_EQ(pool.freeCount(), 1u);
-    FramePtr g = pool.acquire();
+    ASSERT_EQ(FramePtr::freeCount(), 1u);
+    FramePtr g = FramePtr::acquire();
     EXPECT_EQ(g.get(), raw); // recycled object, not a fresh allocation
-    EXPECT_EQ(pool.freeCount(), 0u);
+    EXPECT_EQ(FramePtr::freeCount(), 0u);
+    EXPECT_EQ(g.useCount(), 1u);
     EXPECT_EQ(g->seq, 0u);
     EXPECT_TRUE(g->txns.empty());
+    EXPECT_EQ(g->txns.capacity(), capacity); // kept for the next frame
     EXPECT_EQ(g->usedFlits, 0u);
     EXPECT_EQ(g->padFlits, 0u);
     EXPECT_FALSE(g->corrupted);
     EXPECT_FALSE(g->replayed);
 }
 
-TEST(FramePool, RecyclingReleasesTxnPayloadImmediately)
+TEST(Pool, FramePayloadDiesWithTheLastHandle)
 {
-    FramePool pool;
     auto txn = mem::makeTxn(TxnType::WriteReq, 0);
     // The completion's capture dies exactly when the transaction does.
     auto capture = std::make_shared<int>(0);
     std::weak_ptr<int> weak = capture;
     txn->onComplete = [capture = std::move(capture)](mem::MemTxn &) {};
-    {
-        FramePtr f = pool.acquire();
-        f->txns.push_back(std::move(txn));
-    }
-    // The frame sits on the freelist, but its payload must be gone.
-    EXPECT_EQ(pool.freeCount(), 1u);
+    FramePtr f = FramePtr::acquire();
+    f->txns.push_back(std::move(txn));
+    FramePtr g = f;
+    f.reset();
+    EXPECT_FALSE(weak.expired());
+    g.reset();
+    // The frame may sit on the freelist, but its payload is gone.
     EXPECT_TRUE(weak.expired());
 }
 
-TEST(FramePool, FrameMayOutliveItsPool)
+TEST(Pool, ReplayCopyLeavesHandleCountsAlone)
 {
-    FramePtr f;
+    FramePtr frame = FramePtr::acquire();
+    FramePtr replayBuf = frame;
+    frame->seq = 3;
+    frame->txns.push_back(mem::makeTxn(TxnType::ReadReq, 0));
+    // LlcTx::transmit's replay: a fresh frame takes the fields.
+    FramePtr copy = FramePtr::acquire();
+    *copy = *frame;
+    EXPECT_EQ(frame.useCount(), 2u);
+    EXPECT_EQ(copy.useCount(), 1u);
+    EXPECT_EQ(copy->seq, 3u);
+    ASSERT_EQ(copy->txns.size(), 1u);
+    EXPECT_EQ(copy->txns[0], frame->txns[0]); // shared, not cloned
+    EXPECT_EQ(frame->txns[0].useCount(), 2u);
+    copy.reset();
+    EXPECT_EQ(frame.useCount(), 2u);
+    EXPECT_EQ(frame->txns[0].useCount(), 1u);
+    replayBuf.reset();
+    EXPECT_EQ(frame.useCount(), 1u);
+}
+
+TEST(Pool, FrameQueuedWhenItsChannelDiesIsReleased)
+{
+    auto held = drainFreelist<FramePtr>();
+    auto eq = std::make_unique<sim::EventQueue>();
+    sim::Rng rng{3};
+    FlowParams params;
+    auto capture = std::make_shared<int>(0);
+    std::weak_ptr<int> weak = capture;
     {
-        FramePool pool;
-        f = pool.acquire();
-        f->seq = 9;
+        LlcChannel ch("ch", *eq, params, rng);
+        ch.rxA().connectSink([](TxnPtr) {});
+        ch.rxB().connectSink([](TxnPtr) {});
+        auto txn = mem::makeTxn(TxnType::ReadReq, 0);
+        txn->onComplete = [capture = std::move(capture)](mem::MemTxn &) {};
+        ch.txA().enqueue(std::move(txn));
+        eq->run(sim::nanoseconds(1));
+        ASSERT_EQ(ch.txA().framesSent(), 1u);
+        ASSERT_EQ(ch.rxB().framesDelivered(), 0u);
     }
-    // The pool's core outlives the pool until its last frame is
-    // released; releasing the frame after the pool died must not
-    // crash (or leak: the release frees the core).
-    EXPECT_EQ(f->seq, 9u);
-    f.reset();
+    // Only the wire's delivery event still holds the frame, and its
+    // channel is gone; dropping the event releases it to the freelist.
+    EXPECT_FALSE(weak.expired());
+    EXPECT_EQ(FramePtr::freeCount(), 0u);
+    eq.reset();
+    EXPECT_TRUE(weak.expired());
+    EXPECT_EQ(FramePtr::freeCount(), 1u);
+}
+
+TEST(Pool, ReleasesBeyondTheCapAreFreedAndCounted)
+{
+    expectCapFreesTheExcess<FramePtr>();
+    expectCapFreesTheExcess<TxnPtr>();
+}
+
+TEST(Pool, EachThreadKeepsItsOwnFreelist)
+{
+    FramePtr::acquire().reset();
+    ASSERT_GT(FramePtr::freeCount(), 0u);
+    std::size_t freeHere = FramePtr::freeCount();
+    std::uint64_t missesHere = FramePtr::heapAllocations();
+    std::size_t freeThere = 1;
+    std::uint64_t missesThere = 0;
+    std::thread([&] {
+        freeThere = FramePtr::freeCount();
+        FramePtr::acquire().reset();
+        missesThere = FramePtr::heapAllocations();
+    }).join();
+    EXPECT_EQ(freeThere, 0u);
+    EXPECT_EQ(missesThere, 1u);
+    EXPECT_EQ(FramePtr::freeCount(), freeHere);
+    EXPECT_EQ(FramePtr::heapAllocations(), missesHere);
 }

@@ -82,15 +82,14 @@ struct RecordingSink : ErrorSink
 };
 
 /**
- * Hold enough live transactions that this thread's freelist is empty
- * (it caches far fewer than 1024), so the next release is the next
- * object the pool hands out.
+ * Hold every transaction on this thread's freelist, so the next
+ * release is the next object the pool hands out.
  */
 std::vector<TxnPtr>
 drainTxnFreelist()
 {
     std::vector<TxnPtr> held;
-    for (int i = 0; i < 1024; ++i)
+    while (TxnPtr::freeCount() > 0)
         held.push_back(makeTxn(TxnType::ReadReq, 0));
     return held;
 }
@@ -292,13 +291,6 @@ TEST(TxnPool, DatapathRoundTripsAllocateNoTxnOrFrame)
         };
         path.issue(txn);
     };
-    auto framesAllocated = [&] {
-        std::uint64_t n = 0;
-        for (std::size_t c = 0; c < path.channelCount(); ++c)
-            n += path.channel(c).txA().framePool().heapAllocations() +
-                 path.channel(c).txB().framePool().heapAllocations();
-        return n;
-    };
     auto roundTrips = [&](int n) {
         target += n;
         for (int i = 0; i < kWindow; ++i)
@@ -309,11 +301,11 @@ TEST(TxnPool, DatapathRoundTripsAllocateNoTxnOrFrame)
 
     roundTrips(2000); // warm-up fills both freelists
     std::uint64_t txns = txnHeapAllocations();
-    std::uint64_t frames = framesAllocated();
+    std::uint64_t frames = flow::FramePtr::heapAllocations();
     EXPECT_GT(frames, 0u);
     roundTrips(10000);
     EXPECT_EQ(txnHeapAllocations(), txns);
-    EXPECT_EQ(framesAllocated(), frames);
+    EXPECT_EQ(flow::FramePtr::heapAllocations(), frames);
 }
 
 TEST(Addr, Alignment)
